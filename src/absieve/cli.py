@@ -27,6 +27,8 @@ from .corpus import (
     ScreeningManifest,
     ScreeningRecord,
     clean_text,
+    fold_journal,
+    journal_path,
     load_dataset,
     load_manifest,
     write_results,
@@ -201,14 +203,19 @@ def _load_records(
     config: AppConfig, manifest: ScreeningManifest, name: str, resume: bool
 ) -> list[ScreeningRecord]:
     source = config.data_dir / f"{name}.csv"
-    if resume and _results_path(config, name).exists():
+    resuming = resume and _results_path(config, name).exists()
+    if resuming:
         source = _results_path(config, name)
     if not source.exists():
         raise CliFailure(f"dataset file not found: {source}")
     try:
-        return load_dataset(source, name, manifest)
+        records = load_dataset(source, name, manifest)
+        if resuming:
+            # Rows a killed run journaled after its last full write of the CSV.
+            fold_journal(records, journal_path(source))
     except CorpusError as exc:
         raise CliFailure(str(exc))
+    return records
 
 
 _CONFIG_OPTIONS = [

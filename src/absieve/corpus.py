@@ -7,7 +7,10 @@ The on-disk formats are plain CSV:
   since it appears in real manifests in the wild);
 * dataset: header ``title,abstract`` with optional ``human_decision``,
   ``decision``, ``explanation`` and ``reflection`` columns;
-* results: all six columns, always written, atomically replaced.
+* results: all six columns, always written, atomically replaced;
+* journal: ``<name>_results.journal.jsonl`` next to the results file, one
+  ``{"row": ..., "decision": ...}`` JSON line per row screened since the
+  results file was last written (see :func:`fold_journal`).
 
 All text passes through :func:`clean_text`, so anything we write back out is
 single-line printable ASCII regardless of the input encoding.
@@ -17,8 +20,8 @@ from __future__ import annotations
 
 import csv
 import enum
+import json
 import os
-import re
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -67,6 +70,10 @@ class UnparseableDecisionValue(CorpusError):
 
 class IoFailure(CorpusError):
     pass
+
+
+class JournalCorrupt(CorpusError):
+    """A complete journal line that is not a decision for a row of the dataset."""
 
 
 class Decision(enum.Enum):
@@ -131,10 +138,11 @@ class ScreeningRecord:
     reflection: str | None = None
 
 
-_WHITESPACE_RUN = re.compile(r" +")
 # Control characters that mark word boundaries become spaces; every other
 # control character, and every code point above tilde, is dropped outright.
-_BOUNDARY_CONTROLS = frozenset("\t\n\r\x0b\x0c")
+_BOUNDARY_CONTROLS = b"\t\n\r\x0b\x0c"
+_BOUNDARIES_TO_SPACES = bytes.maketrans(_BOUNDARY_CONTROLS, b" " * len(_BOUNDARY_CONTROLS))
+_DELETED_CONTROLS = bytes(c for c in range(0x20) if c not in _BOUNDARY_CONTROLS) + b"\x7f"
 
 RESULT_COLUMNS = ("title", "abstract", "human_decision", "decision", "explanation", "reflection")
 
@@ -153,17 +161,9 @@ def clean_text(raw: str) -> str:
     fuse; other control characters are deleted. Runs of whitespace collapse
     to one space and the result is trimmed. Idempotent by construction.
     """
-    chars = []
-    for ch in raw:
-        code = ord(ch)
-        if code > 0x7E:
-            continue
-        if code < 0x20:
-            if ch in _BOUNDARY_CONTROLS:
-                chars.append(" ")
-            continue
-        chars.append(ch)
-    return _WHITESPACE_RUN.sub(" ", "".join(chars)).strip()
+    ascii_text = raw.encode("ascii", "ignore").translate(_BOUNDARIES_TO_SPACES, _DELETED_CONTROLS)
+    # Only the space is left as whitespace, so split/join collapses and trims.
+    return " ".join(ascii_text.decode("ascii").split())
 
 
 def _header_index(header: Sequence[str], path: str | Path) -> dict[str, int]:
@@ -329,3 +329,40 @@ def write_results(records: Iterable[ScreeningRecord], path: str | Path) -> None:
             raise
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
+
+
+def journal_path(results_path: str | Path) -> Path:
+    """The screening journal that belongs to a results CSV."""
+    return Path(results_path).with_suffix(".journal.jsonl")
+
+
+def journal_entry(record: ScreeningRecord) -> str:
+    """One journal line: the record's row index and model decision."""
+    return json.dumps({"row": record.row_index, "decision": record.model_decision.value}) + "\n"
+
+
+def fold_journal(records: Sequence[ScreeningRecord], path: str | Path) -> int:
+    """Apply the decisions in a screening journal to ``records`` in place.
+
+    Each complete line sets one row's ``model_decision``. A last line without
+    its newline was torn by a crash mid-append and is ignored. A missing
+    journal folds nothing. Returns the number of lines applied.
+    """
+    try:
+        data = Path(path).read_bytes()
+    except FileNotFoundError:
+        return 0
+    except OSError as exc:
+        raise IoFailure(f"cannot read {path}: {exc}") from exc
+    by_row = {r.row_index: r for r in records}
+    lines = data.split(b"\n")[:-1]  # the last piece is empty or torn
+    for n, line in enumerate(lines, start=1):
+        try:
+            entry = json.loads(line)
+            row, decision = entry["row"], Decision(entry["decision"])
+        except (ValueError, KeyError, TypeError):
+            raise JournalCorrupt(f"{path} line {n}: not a journal entry: {line[:80]!r}") from None
+        if type(row) is not int or row not in by_row:
+            raise JournalCorrupt(f"{path} line {n}: row {row!r} is not in the dataset")
+        by_row[row].model_decision = decision
+    return len(lines)

@@ -6,14 +6,19 @@ call the backend and report back; every record mutation, tally, and
 checkpoint write happens on the coordinator, so no locking is needed around
 the records themselves.
 
-The results CSV doubles as the checkpoint: a non-empty ``decision`` cell
-means the row is done, and each checkpoint is an atomic whole-file replace.
+Checkpoints are a results CSV plus an append-only journal. The CSV, where a
+non-empty ``decision`` cell means the row is done, is written in full (an
+atomic replace) when a dataset starts, when it ends, and when the run is
+interrupted. In between, each completed row appends one line to the
+dataset's journal, so persisting a row costs the same at any dataset size.
+``--resume`` folds a journal left by a killed run into the loaded CSV.
 Interrupt the process at any point and a resumed run converges on the same
 final file.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 import threading
@@ -28,6 +33,8 @@ from .corpus import (
     Decision,
     ScreeningManifest,
     ScreeningRecord,
+    journal_entry,
+    journal_path,
     write_results,
 )
 from .llm import (
@@ -157,19 +164,38 @@ class RateLimiter:
 
 
 class _RunLog:
-    """Append-only JSONL log, one object per backend call. Thread-safe."""
+    """Append-only JSONL log, one object per backend call. Thread-safe.
+
+    The file is opened for appending at the first record and stays open,
+    line-buffered so every record reaches the file whole, until :meth:`close`
+    (or the end of a ``with`` block).
+    """
 
     def __init__(self, path: str | Path | None):
         self._path = Path(path) if path is not None else None
         self._lock = threading.Lock()
+        self._fh = None
+
+    def __enter__(self) -> "_RunLog":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     def record(self, **fields) -> None:
         if self._path is None:
             return
-        line = json.dumps(fields, sort_keys=True)
+        line = json.dumps(fields, sort_keys=True) + "\n"
         with self._lock:
-            with open(self._path, "a", encoding="ascii") as fh:
-                fh.write(line + "\n")
+            if self._fh is None:
+                self._fh = open(self._path, "a", encoding="ascii", buffering=1)
+            self._fh.write(line)
+
+    def close(self) -> None:
+        with self._lock:
+            if self._fh is not None:
+                self._fh.close()
+                self._fh = None
 
 
 @dataclass(frozen=True)
@@ -286,47 +312,42 @@ def _drain_completed(
         future.result()
 
 
-def run_screening(
-    manifest: ScreeningManifest,
-    datasets: Mapping[str, list[ScreeningRecord]],
+def _screen_dataset(
+    name: str,
+    records: list[ScreeningRecord],
+    criteria: CriteriaSet,
     backend: Backend,
     config: RunConfig,
-    output_dir: str | Path,
-    run_log_path: str | Path | None = None,
-) -> RunReport:
-    """Screen every undecided row of every dataset and checkpoint as we go.
+    limiter: RateLimiter,
+    log: _RunLog,
+    results_path: Path,
+    report: RunReport,
+) -> DatasetStats:
+    stats = DatasetStats(rows_total=len(records))
+    stats.empty_abstract_count = sum(1 for r in records if not r.abstract)
+    pending = [r for r in records if r.model_decision is None]
+    stats.rows_skipped_resume = len(records) - len(pending)
+    # Only a window of rows is queued at a time: ``wait`` scans every future
+    # it is given, so queueing the whole dataset costs O(n) per completion.
+    window = 2 * config.max_in_flight
+    unsubmitted = iter(pending)
+    since_flush = 0
 
-    Rows that already carry a model decision are skipped (that is the whole
-    resume contract). Results land in ``output_dir/<name>_results.csv``,
-    rewritten atomically after every ``checkpoint_every`` completions, so at
-    most that many finished rows can be lost to a crash. Output row order is
-    input row order regardless of completion order.
-    """
-    config.validate()
-    out_dir = Path(output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    limiter = RateLimiter(config.requests_per_minute)
-    log = _RunLog(run_log_path)
-    report = RunReport()
-    run_started = time.monotonic()
-
-    for name, records in datasets.items():
-        criteria = manifest.criteria_for(name)
-        stats = DatasetStats(rows_total=len(records))
-        stats.empty_abstract_count = sum(1 for r in records if not r.abstract)
-        pending = [r for r in records if r.model_decision is None]
-        stats.rows_skipped_resume = len(records) - len(pending)
-        results_path = out_dir / f"{name}_results.csv"
-        write_results(records, results_path)
-
-        since_checkpoint = 0
+    write_results(records, results_path)
+    # The CSV just written holds every decision so far, so any older journal is stale.
+    journal_file = journal_path(results_path)
+    journal = open(journal_file, "w", encoding="ascii")
+    try:
         with ThreadPoolExecutor(max_workers=config.max_in_flight) as pool:
-            futures: dict[Future, ScreeningRecord] = {
-                pool.submit(_screen_row, r, criteria, name, backend, config, limiter, log): r
-                for r in pending
-            }
+            futures: dict[Future, ScreeningRecord] = {}
             try:
-                while futures:
+                while True:
+                    for r in itertools.islice(unsubmitted, window - len(futures)):
+                        futures[
+                            pool.submit(_screen_row, r, criteria, name, backend, config, limiter, log)
+                        ] = r
+                    if not futures:
+                        break
                     done, _ = wait(futures, return_when=FIRST_COMPLETED)
                     for record, outcome in _drain_completed(futures, done):
                         record.model_decision = outcome.decision
@@ -341,17 +362,62 @@ def run_screening(
                             stats.error_count += 1
                         report.input_tokens += outcome.input_tokens
                         report.output_tokens += outcome.output_tokens
-                        since_checkpoint += 1
-                        if since_checkpoint >= config.checkpoint_every:
-                            write_results(records, results_path)
-                            since_checkpoint = 0
+                        journal.write(journal_entry(record))
+                        since_flush += 1
+                        if since_flush >= config.checkpoint_every:
+                            journal.flush()
+                            since_flush = 0
             except BaseException:
-                # Crash or interrupt: stop feeding work, keep the last checkpoint.
+                # Crash or interrupt: stop feeding work, keep what completed.
                 pool.shutdown(wait=True, cancel_futures=True)
                 raise
-
+    finally:
+        # Done or interrupted, the CSV takes over every journaled decision.
         write_results(records, results_path)
-        report.datasets[name] = stats
+        journal.close()
+        journal_file.unlink()
+    return stats
+
+
+def run_screening(
+    manifest: ScreeningManifest,
+    datasets: Mapping[str, list[ScreeningRecord]],
+    backend: Backend,
+    config: RunConfig,
+    output_dir: str | Path,
+    run_log_path: str | Path | None = None,
+) -> RunReport:
+    """Screen every undecided row of every dataset and checkpoint as we go.
+
+    Rows that already carry a model decision are skipped (that is the whole
+    resume contract). Results land in ``output_dir/<name>_results.csv``,
+    written in full when a dataset starts, when it ends and when the run is
+    interrupted. Each completed row in between appends a line to
+    ``<name>_results.journal.jsonl``, flushed after every
+    ``checkpoint_every`` completions, so at most that many finished rows can
+    be lost to a crash; the journal is removed once the CSV holds its rows.
+    Output row order is input row order regardless of completion order.
+    """
+    config.validate()
+    out_dir = Path(output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    limiter = RateLimiter(config.requests_per_minute)
+    report = RunReport()
+    run_started = time.monotonic()
+
+    with _RunLog(run_log_path) as log:
+        for name, records in datasets.items():
+            report.datasets[name] = _screen_dataset(
+                name,
+                records,
+                manifest.criteria_for(name),
+                backend,
+                config,
+                limiter,
+                log,
+                out_dir / f"{name}_results.csv",
+                report,
+            )
 
     report.wall_time_s = time.monotonic() - run_started
     report.estimated_cost = (
@@ -479,7 +545,6 @@ def run_explanations(
         raise ValueError(f"mode must be EXPLAIN or REFLECT, got {mode}")
     config.validate()
     limiter = RateLimiter(config.requests_per_minute)
-    log = _RunLog(run_log_path)
     report = ExplainReport(mode=mode)
 
     eligible = [r for r in records if _eligible_for(mode, r)]
@@ -487,7 +552,7 @@ def run_explanations(
     if not eligible:
         return report
 
-    with ThreadPoolExecutor(max_workers=config.max_in_flight) as pool:
+    with _RunLog(run_log_path) as log, ThreadPoolExecutor(max_workers=config.max_in_flight) as pool:
         futures: dict[Future, ScreeningRecord] = {
             pool.submit(
                 _annotate_row, r, criteria, dataset_name, mode, backend, config, limiter, log

@@ -1,12 +1,19 @@
 from __future__ import annotations
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import absieve
 from absieve.cli import main
+from absieve.corpus import CriteriaSet, ManifestEntry, ScreeningManifest, fold_journal, load_dataset
 from conftest import read_csv_rows, write_dataset, write_manifest, write_mock_script
 
 runner = CliRunner()
@@ -137,6 +144,124 @@ class TestScreen:
         assert result.exit_code == 0
         rows = read_csv_rows(tmp_path / "out" / "IVM_results.csv")
         assert {r["decision"] for r in rows} == {"included"}
+
+
+# Runs ``absieve.cli.main(argv[2:])`` with every mock completion slowed by argv[1] seconds.
+SLOW_SCREEN_CHILD = """
+import sys, time
+from absieve import cli, llm
+
+complete = llm.MockBackend.complete
+
+def slow_complete(self, request):
+    time.sleep(float(sys.argv[1]))
+    return complete(self, request)
+
+llm.MockBackend.complete = slow_complete
+cli.main(sys.argv[2:])
+"""
+
+KILL_ROWS = [{"title": f"t{i}", "abstract": f"a{i}"} for i in range(12)]
+KILL_SCRIPT = {"IVM/3": "included", "IVM/7": "no idea", "IVM/10": "included", "OTHER/1": "included"}
+
+
+def _journal_lines(path: Path) -> int:
+    return path.read_bytes().count(b"\n") if path.exists() else 0
+
+
+class TestJournal:
+    def test_clean_run_leaves_no_journal(self, tmp_path):
+        config = make_workspace(tmp_path)
+        assert invoke(config, "screen").exit_code == 0
+        assert not list((tmp_path / "out").glob("*.journal.jsonl"))
+
+    def test_non_resume_screen_discards_stale_journal(self, tmp_path):
+        config = make_workspace(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "IVM_results.journal.jsonl").write_text('{"row": 0, "decision": "excluded"}\n')
+        assert invoke(config, "screen").exit_code == 0
+        assert read_csv_rows(out / "IVM_results.csv")[0]["decision"] == "included"
+        assert not (out / "IVM_results.journal.jsonl").exists()
+
+    def test_resume_folds_leftover_journal(self, tmp_path):
+        config = make_workspace(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        write_dataset(out / "IVM_results.csv", DEFAULT_ROWS)
+        # Row 0 was journaled as excluded; the script would now say included.
+        (out / "IVM_results.journal.jsonl").write_text(
+            '{"row": 0, "decision": "excluded"}\n{"row": 2, "decision": "error"}\n'
+        )
+        result = invoke(config, "screen", "--resume")
+        assert result.exit_code == 0, result.output
+        rows = read_csv_rows(out / "IVM_results.csv")
+        assert [r["decision"] for r in rows] == ["excluded", "excluded", "error", "excluded"]
+        report = json.loads((out / "run_report.json").read_text())
+        assert report["datasets"]["IVM"]["rows_skipped_resume"] == 2
+        assert len((out / "run_log.jsonl").read_text().splitlines()) == 2
+        assert not (out / "IVM_results.journal.jsonl").exists()
+
+    def test_resume_with_corrupt_journal_exits_two(self, tmp_path):
+        config = make_workspace(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        write_dataset(out / "IVM_results.csv", DEFAULT_ROWS)
+        (out / "IVM_results.journal.jsonl").write_text('{"row": 9, "decision": "excluded"}\n')
+        result = invoke(config, "screen", "--resume")
+        assert result.exit_code == 2
+        assert "row 9" in result.output
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="needs SIGKILL")
+    @pytest.mark.parametrize("kill_after", [1, 5, 11])
+    def test_sigkill_then_resume_matches_uninterrupted(self, tmp_path, kill_after):
+        datasets = {"IVM": KILL_ROWS, "OTHER": KILL_ROWS[:4]}
+        straight, killed = tmp_path / "straight", tmp_path / "killed"
+        straight.mkdir()
+        killed.mkdir()
+        config = make_workspace(straight, datasets=datasets, script=dict(KILL_SCRIPT))
+        assert invoke(config, "screen").exit_code == 0
+
+        config = make_workspace(killed, datasets=datasets, script=dict(KILL_SCRIPT))
+        journal = killed / "out" / "IVM_results.journal.jsonl"
+        src = str(Path(absieve.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        child = subprocess.Popen(
+            [sys.executable, "-c", SLOW_SCREEN_CHILD, "0.05", "screen", "--config", str(config)],
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while _journal_lines(journal) < kill_after:
+                assert child.poll() is None, "screen exited before it could be killed"
+                assert time.monotonic() < deadline, "journal never reached the kill point"
+                time.sleep(0.005)
+            child.send_signal(signal.SIGKILL)
+        finally:
+            child.kill()
+            child.wait()
+        assert child.returncode == -signal.SIGKILL
+
+        # Every journaled row survives the kill, although the CSV was only written at the start.
+        manifest = ScreeningManifest(
+            tuple(ManifestEntry(name, CriteriaSet("i", "e")) for name in datasets)
+        )
+        records = load_dataset(killed / "out" / "IVM_results.csv", "IVM", manifest)
+        assert not any(r.model_decision for r in records)
+        assert fold_journal(records, journal) >= kill_after
+        assert not (killed / "out" / "OTHER_results.csv").exists()
+
+        result = invoke(config, "screen", "--resume")
+        assert result.exit_code == 0, result.output
+        report = json.loads((killed / "out" / "run_report.json").read_text())
+        assert report["datasets"]["IVM"]["rows_skipped_resume"] >= kill_after
+        for name in datasets:
+            assert (killed / "out" / f"{name}_results.csv").read_bytes() == (
+                straight / "out" / f"{name}_results.csv"
+            ).read_bytes()
+        assert not list((killed / "out").glob("*.journal.jsonl"))
 
 
 class TestExplainReflect:

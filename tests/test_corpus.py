@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import json
 import random
+import re
 import string
 
 import pytest
@@ -13,6 +15,7 @@ from absieve.corpus import (
     DuplicateDatasetName,
     EmptyField,
     EmptyManifest,
+    JournalCorrupt,
     ManifestEntry,
     MissingColumn,
     ScreeningManifest,
@@ -20,6 +23,9 @@ from absieve.corpus import (
     UnknownDataset,
     UnparseableDecisionValue,
     clean_text,
+    fold_journal,
+    journal_entry,
+    journal_path,
     load_dataset,
     load_manifest,
     write_results,
@@ -31,7 +37,43 @@ MANIFEST = ScreeningManifest(
 )
 
 
+_WHITESPACE_RUN = re.compile(r" +")
+_BOUNDARY_CONTROLS = frozenset("\t\n\r\x0b\x0c")
+
+
+def reference_clean_text(raw: str) -> str:
+    """The original per-character clean_text, kept verbatim as an oracle."""
+    chars = []
+    for ch in raw:
+        code = ord(ch)
+        if code > 0x7E:
+            continue
+        if code < 0x20:
+            if ch in _BOUNDARY_CONTROLS:
+                chars.append(" ")
+            continue
+        chars.append(ch)
+    return _WHITESPACE_RUN.sub(" ", "".join(chars)).strip()
+
+
+# Weighted toward ASCII so that every control character and DEL turn up often.
+_TEXT = st.text(
+    alphabet=st.one_of(
+        st.characters(max_codepoint=0x9F, exclude_categories=()),
+        st.sampled_from("\t\n\r\x0b\x0c\x1c\x1f\x7f \xa0\u2003\u3000"),
+        st.characters(exclude_categories=()),
+    )
+)
+
+
 class TestCleanText:
+    @given(_TEXT)
+    def test_matches_reference_loop(self, s):
+        assert clean_text(s) == reference_clean_text(s)
+
+    def test_lone_surrogates_deleted(self):
+        assert clean_text("a\ud800b \udfff") == reference_clean_text("a\ud800b \udfff") == "ab"
+
     def test_ascii_fixed_point(self):
         assert clean_text("ivermectin") == "ivermectin"
 
@@ -265,3 +307,68 @@ class TestWriteResults:
         assert len(rows) == 1
         assert rows[0]["title"] == "new"
         assert not list(tmp_path.glob("*.tmp"))
+
+
+def _decided(n: int) -> list[ScreeningRecord]:
+    return [ScreeningRecord(i, f"t{i}", "a", model_decision=Decision.EXCLUDED) for i in range(n)]
+
+
+class TestJournal:
+    def test_path_sits_next_to_results(self, tmp_path):
+        assert journal_path(tmp_path / "IVM_results.csv") == tmp_path / "IVM_results.journal.jsonl"
+
+    def test_entry_format(self):
+        record = ScreeningRecord(3, "t", model_decision=Decision.UNPARSEABLE)
+        assert journal_entry(record) == '{"row": 3, "decision": "unparseable"}\n'
+
+    def test_entries_fold_back_into_records(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        written = _decided(3)
+        written[1].model_decision = Decision.INCLUDED
+        path.write_text("".join(journal_entry(r) for r in written[::-1]))
+        records = [ScreeningRecord(i, f"t{i}") for i in range(4)]
+        assert fold_journal(records, path) == 3
+        assert [r.model_decision for r in records] == [
+            Decision.EXCLUDED,
+            Decision.INCLUDED,
+            Decision.EXCLUDED,
+            None,
+        ]
+
+    def test_missing_journal_folds_nothing(self, tmp_path):
+        records = [ScreeningRecord(0, "t")]
+        assert fold_journal(records, tmp_path / "absent.jsonl") == 0
+        assert records[0].model_decision is None
+
+    def test_torn_last_line_is_ignored(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        entries = "".join(journal_entry(r) for r in _decided(2))
+        path.write_text(entries + '{"row": 2, "decision": "excl')
+        records = [ScreeningRecord(i, f"t{i}") for i in range(3)]
+        assert fold_journal(records, path) == 2
+        assert records[2].model_decision is None
+
+    def test_torn_line_that_parses_is_still_ignored(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        path.write_text('{"row": 0, "decision": "included"}')
+        records = [ScreeningRecord(0, "t")]
+        assert fold_journal(records, path) == 0
+        assert records[0].model_decision is None
+
+    @pytest.mark.parametrize("row", [3, -1, "0", True])
+    def test_row_outside_dataset_raises(self, tmp_path, row):
+        path = tmp_path / "j.jsonl"
+        path.write_text(json.dumps({"row": row, "decision": "included"}) + "\n")
+        with pytest.raises(JournalCorrupt) as exc:
+            fold_journal([ScreeningRecord(i, f"t{i}") for i in range(3)], path)
+        assert "line 1" in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "line", ["not json", "[0]", '{"row": 0}', '{"row": 0, "decision": "maybe"}']
+    )
+    def test_malformed_complete_line_raises(self, tmp_path, line):
+        path = tmp_path / "j.jsonl"
+        path.write_text(journal_entry(_decided(1)[0]) + line + "\n")
+        with pytest.raises(JournalCorrupt) as exc:
+            fold_journal([ScreeningRecord(0, "t")], path)
+        assert "line 2" in str(exc.value)

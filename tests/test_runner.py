@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
 
@@ -25,6 +26,7 @@ from absieve.prompts import PromptKind, build_decision_prompt
 from absieve.runner import (
     ConfigInvalid,
     RunConfig,
+    _RunLog,
     estimate_cost,
     run_explanations,
     run_screening,
@@ -301,6 +303,118 @@ class TestRunScreening:
             }
 
 
+class OpenSpy:
+    """Stands in for ``open`` inside the runner and keeps every file it opened."""
+
+    def __init__(self):
+        self.files = []
+
+    def __call__(self, *args, **kwargs):
+        fh = open(*args, **kwargs)
+        self.files.append((str(args[0]), fh))
+        return fh
+
+    def opened(self, path) -> int:
+        return sum(1 for name, _ in self.files if name == str(path))
+
+    def all_closed(self) -> bool:
+        return all(fh.closed for _, fh in self.files)
+
+
+class TestRunLog:
+    def test_line_bytes(self, tmp_path):
+        log_path = tmp_path / "run.jsonl"
+        backend = ScriptedBackend(["included"])
+        run_screening(MANIFEST, {"D": make_records(1)}, backend, fast_config(), tmp_path, log_path)
+        assert log_path.read_bytes() == (
+            b'{"attempt": 1, "dataset": "D", "input_tokens": 1, "latency_ms": 0.0, '
+            b'"outcome": "ok", "output_tokens": 1, "row": 0}\n'
+        )
+
+    def test_runs_append_to_one_log(self, tmp_path):
+        log_path = tmp_path / "run.jsonl"
+        for _ in range(2):
+            run_screening(
+                MANIFEST,
+                {"D": make_records(3)},
+                mock({"default": "excluded"}),
+                fast_config(),
+                tmp_path,
+                log_path,
+            )
+        assert len(log_path.read_text().splitlines()) == 6
+
+    def test_no_calls_no_log_file(self, tmp_path):
+        records = make_records(2)
+        for r in records:
+            r.model_decision = Decision.EXCLUDED
+        log_path = tmp_path / "run.jsonl"
+        run_screening(MANIFEST, {"D": records}, mock({}), fast_config(), tmp_path, log_path)
+        assert not log_path.exists()
+
+    def test_concurrent_records_stay_whole(self, tmp_path):
+        log_path = tmp_path / "run.jsonl"
+        threads_n, per_thread = 8, 200
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with _RunLog(log_path) as log:
+                threads = [
+                    threading.Thread(
+                        target=lambda t=t: [log.record(thread=t, n=n) for n in range(per_thread)]
+                    )
+                    for t in range(threads_n)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                    assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        lines = [json.loads(line) for line in log_path.read_text().splitlines()]
+        assert sorted((line["thread"], line["n"]) for line in lines) == [
+            (t, n) for t in range(threads_n) for n in range(per_thread)
+        ]
+
+    def test_opened_once_per_run_and_closed(self, tmp_path, monkeypatch):
+        spy = OpenSpy()
+        monkeypatch.setattr("absieve.runner.open", spy, raising=False)
+        log_path = tmp_path / "run.jsonl"
+        datasets = {"D": make_records(4), "D2": make_records(3)}
+        backend = mock({"default": "excluded"})
+        run_screening(MANIFEST, datasets, backend, fast_config(), tmp_path, log_path)
+        assert spy.opened(log_path) == 1
+        assert spy.all_closed()
+        assert len(log_path.read_text().splitlines()) == 7
+
+    def test_closed_after_interrupt(self, tmp_path, monkeypatch):
+        spy = OpenSpy()
+        monkeypatch.setattr("absieve.runner.open", spy, raising=False)
+        log_path = tmp_path / "run.jsonl"
+        backend = AbortAfter(mock({"default": "excluded"}), allowed=2)
+        with pytest.raises(KeyboardInterrupt):
+            run_screening(
+                MANIFEST, {"D": make_records(5)}, backend, fast_config(max_in_flight=1), tmp_path, log_path
+            )
+        assert spy.opened(log_path) == 1
+        assert spy.all_closed()
+
+    def test_explanations_open_once_and_close(self, tmp_path, monkeypatch):
+        spy = OpenSpy()
+        monkeypatch.setattr("absieve.runner.open", spy, raising=False)
+        records = make_records(3)
+        for r in records:
+            r.human_decision = r.model_decision = Decision.INCLUDED
+        log_path = tmp_path / "run.jsonl"
+        run_explanations(
+            records, CRITERIA, mock({"default": "why"}), fast_config(), PromptKind.EXPLAIN, "D", log_path
+        )
+        assert spy.opened(log_path) == 1
+        assert spy.all_closed()
+        assert len(log_path.read_text().splitlines()) == 3
+
+
 class TestRateAndConcurrency:
     def test_request_starts_are_spaced(self, tmp_path):
         backend = mock({"default": "excluded"})
@@ -366,6 +480,42 @@ class TestCheckpointing:
             )
         decided = [row for row in read_csv_rows(tmp_path / "D_results.csv") if row["decision"]]
         assert len(decided) == 3  # nothing completed was lost at checkpoint_every=1
+
+    def test_interrupt_writes_csv_and_removes_journal(self, tmp_path):
+        backend = AbortAfter(mock({"default": "excluded"}), allowed=3)
+        with pytest.raises(KeyboardInterrupt):
+            run_screening(
+                MANIFEST,
+                {"D": make_records(5)},
+                backend,
+                fast_config(max_in_flight=1, checkpoint_every=100),
+                tmp_path,
+            )
+        decided = [row for row in read_csv_rows(tmp_path / "D_results.csv") if row["decision"]]
+        assert len(decided) == 3
+        assert not (tmp_path / "D_results.journal.jsonl").exists()
+
+    def test_journal_holds_rows_since_the_last_csv_write(self, tmp_path):
+        journal = tmp_path / "D_results.journal.jsonl"
+        seen = []
+
+        class Watcher:
+            """Reads the journal from inside the run, as a killed process would leave it."""
+
+            def complete(self, request):
+                seen.append(journal.read_text().splitlines())
+                return CompletionResult("included" if request.row_index == 1 else "excluded", 1, 1, 0.0)
+
+        journal.write_text('{"row": 2, "decision": "error"}\n')  # left by an older run
+        records = make_records(4)
+        records[3].model_decision = Decision.EXCLUDED
+        run_screening(MANIFEST, {"D": records}, Watcher(), fast_config(max_in_flight=1), tmp_path)
+        assert seen[0] == []  # a fresh journal per dataset
+        assert set(seen[-1]) <= {
+            '{"row": 0, "decision": "excluded"}',
+            '{"row": 1, "decision": "included"}',
+        }
+        assert not journal.exists()
 
 
 class TestRunExplanations:
