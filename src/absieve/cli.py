@@ -15,7 +15,7 @@ import csv
 import json
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import click
@@ -28,9 +28,11 @@ from .corpus import (
     ScreeningRecord,
     clean_text,
     fold_journal,
+    header_index,
     journal_path,
     load_dataset,
     load_manifest,
+    read_rows,
     write_results,
 )
 from .llm import AuthMissing, HttpBackend, MockBackend, MockScript
@@ -38,6 +40,7 @@ from .prompts import PromptKind
 from .runner import (
     ConfigInvalid,
     RunConfig,
+    eligible_for,
     estimate_cost,
     run_explanations,
     run_screening,
@@ -283,26 +286,9 @@ def config_options(command):
 
 
 def _split_config_kwargs(kwargs: dict) -> AppConfig:
+    # What is left after the config path is exactly the flag overrides.
     config_path = kwargs.pop("config_path")
-    override_keys = (
-        "manifest",
-        "data_dir",
-        "output_dir",
-        "base_url",
-        "mock_script",
-        "model",
-        "temperature",
-        "credential_env",
-        "max_in_flight",
-        "requests_per_minute",
-        "max_retries",
-        "backoff_base_s",
-        "checkpoint_every",
-        "price_per_1k_input",
-        "price_per_1k_output",
-    )
-    overrides = {key: kwargs.pop(key) for key in override_keys}
-    return load_app_config(config_path, overrides)
+    return load_app_config(config_path, kwargs)
 
 
 @click.group()
@@ -372,9 +358,7 @@ def _run_explain(
         raise CliFailure(str(exc))
 
     mode = PromptKind.EXPLAIN if mode_name == "explain" else PromptKind.REFLECT
-    from .runner import _eligible_for  # shared eligibility rule
-
-    eligible = [r for r in records if _eligible_for(mode, r)]
+    eligible = [r for r in records if eligible_for(mode, r)]
     if rows is not None:
         try:
             wanted = {int(part) for part in rows.split(",") if part.strip()}
@@ -384,7 +368,7 @@ def _run_explain(
         if unknown:
             raise CliFailure(f"--rows names rows not in the dataset: {sorted(unknown)}")
         chosen = [r for r in records if r.row_index in wanted]
-        if not any(_eligible_for(mode, r) for r in chosen):
+        if not any(eligible_for(mode, r) for r in chosen):
             raise CliFailure(f"no eligible rows for mode {mode_name!r} in --rows selection")
     else:
         if not eligible:
@@ -450,25 +434,23 @@ def _decision_columns(
 ) -> tuple[list[Decision | None], list[Decision | None]]:
     """Read two named decision columns from a results CSV.
 
-    Header names match case-insensitively. Cells that are empty or not a
-    known decision token count as missing, which drops the row from the
-    comparison (and shows up in the ``dropped`` tally).
+    The file is read as :func:`load_dataset` reads it: header names match
+    case-insensitively and the first of duplicate names wins. Cells that are
+    empty or not a known decision token count as missing, which drops the
+    row from the comparison (and shows up in the ``dropped`` tally).
     """
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            rows = [row for row in csv.reader(fh) if row]
-    except OSError as exc:
-        raise CliFailure(f"cannot read {path}: {exc}")
-    if not rows:
-        raise CliFailure(f"{path}: file is empty")
-    header = {clean_text(name).lower(): pos for pos, name in enumerate(rows[0])}
+        header, rows = read_rows(path)
+        index = header_index(header, path)
+    except CorpusError as exc:
+        raise CliFailure(str(exc))
 
     def column(name: str) -> list[Decision | None]:
-        pos = header.get(clean_text(name).lower())
+        pos = index.get(clean_text(name).lower())
         if pos is None:
             raise CliFailure(f"{path}: missing column {name!r}")
         values: list[Decision | None] = []
-        for row in rows[1:]:
+        for row in rows:
             cell = clean_text(row[pos]).lower() if pos < len(row) else ""
             try:
                 values.append(Decision(cell) if cell else None)
@@ -631,7 +613,7 @@ def estimate_cost_cmd(**kwargs) -> None:
         raise CliFailure(str(exc))
 
     (config.output_dir / ESTIMATE_JSON_NAME).write_text(
-        json.dumps(estimate.to_dict(), indent=2) + "\n", encoding="ascii"
+        json.dumps(asdict(estimate), indent=2) + "\n", encoding="ascii"
     )
     for d in estimate.per_dataset:
         click.echo(

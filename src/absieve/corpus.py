@@ -166,7 +166,7 @@ def clean_text(raw: str) -> str:
     return " ".join(ascii_text.decode("ascii").split())
 
 
-def _header_index(header: Sequence[str], path: str | Path) -> dict[str, int]:
+def header_index(header: Sequence[str], path: str | Path) -> dict[str, int]:
     """Map lowercased, cleaned header names to their column positions."""
     index: dict[str, int] = {}
     for pos, name in enumerate(header):
@@ -194,7 +194,8 @@ def _decision_from_cell(raw: str, row: int, column: str) -> Decision | None:
         raise UnparseableDecisionValue(raw, row, column) from None
 
 
-def _read_rows(path: str | Path) -> tuple[list[str], list[list[str]]]:
+def read_rows(path: str | Path) -> tuple[list[str], list[list[str]]]:
+    """Read a CSV (BOM-tolerant, blank lines skipped) as its header and data rows."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = [row for row in csv.reader(fh) if row]
@@ -211,8 +212,8 @@ def load_manifest(path: str | Path) -> ScreeningManifest:
     Header names are matched case-insensitively, and the exclusion column is
     found under either its correct spelling or the known misspelled alias.
     """
-    header, rows = _read_rows(path)
-    index = _header_index(header, path)
+    header, rows = read_rows(path)
+    index = header_index(header, path)
 
     name_pos = index.get(MANIFEST_NAME_COLUMN.lower())
     if name_pos is None:
@@ -260,8 +261,8 @@ def load_dataset(
     if name not in manifest:
         raise UnknownDataset(name)
 
-    header, rows = _read_rows(path)
-    index = _header_index(header, path)
+    header, rows = read_rows(path)
+    index = header_index(header, path)
     for required in ("title", "abstract"):
         if required not in index:
             raise MissingColumn(required, path)

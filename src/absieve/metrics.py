@@ -12,7 +12,7 @@ precision or recall is reported as 0.0 with the affected metric named in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from .corpus import Decision
@@ -70,13 +70,7 @@ class ConfusionMatrix:
         return self.tp + self.fn + self.fp + self.tn
 
     def to_dict(self) -> dict:
-        return {
-            "tp": self.tp,
-            "fn": self.fn,
-            "fp": self.fp,
-            "tn": self.tn,
-            "dropped": self.dropped,
-        }
+        return asdict(self)
 
 
 def confusion_matrix(
@@ -151,14 +145,6 @@ class ClassStats:
     f1: float
     support: int
 
-    def to_dict(self) -> dict:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "support": self.support,
-        }
-
 
 @dataclass(frozen=True)
 class ClassificationReport:
@@ -168,15 +154,6 @@ class ClassificationReport:
     weighted_avg: ClassStats
     # Metrics whose natural ratio was 0/0 and were reported as 0.0 instead.
     zero_division_fields: tuple[str, ...] = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "included": self.included.to_dict(),
-            "excluded": self.excluded.to_dict(),
-            "macro_avg": self.macro_avg.to_dict(),
-            "weighted_avg": self.weighted_avg.to_dict(),
-            "zero_division_fields": list(self.zero_division_fields),
-        }
 
 
 def _ratio(numerator: int, denominator: int, name: str, flagged: list[str]) -> float:
@@ -269,17 +246,7 @@ class DatasetMetrics:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "dataset_name": self.dataset_name,
-            "n": self.n,
-            "n_included": self.n_included,
-            "accuracy": self.accuracy,
-            "sensitivity_included": self.sensitivity_included,
-            "sensitivity_excluded": self.sensitivity_excluded,
-            "kappa": self.kappa,
-            "confusion": self.confusion.to_dict(),
-            "report": self.report.to_dict(),
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -299,14 +266,7 @@ class WeightedSummary:
     weighting: str = WEIGHTING_NOTE
 
     def to_dict(self) -> dict:
-        return {
-            "n_total": self.n_total,
-            "accuracy": self.accuracy,
-            "sensitivity_included": self.sensitivity_included,
-            "sensitivity_excluded": self.sensitivity_excluded,
-            "kappa": self.kappa,
-            "weighting": self.weighting,
-        }
+        return asdict(self)
 
 
 def _weighted_mean(pairs: list[tuple[float, int]]) -> float | None:

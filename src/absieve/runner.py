@@ -6,6 +6,13 @@ call the backend and report back; every record mutation, tally, and
 checkpoint write happens on the coordinator, so no locking is needed around
 the records themselves.
 
+Screening and explain/reflect share one call path and one dispatcher.
+``_call`` does limiter, backend call, run-log line, transient retry with
+full-jitter backoff and fatal stop; screening adds only an "accept this
+reply?" hook that triggers its single re-ask. ``_dispatch`` runs a worker
+function over the rows with a bounded window of queued calls, so the cost
+per row stays flat as a dataset grows.
+
 Checkpoints are a results CSV plus an append-only journal. The CSV, where a
 non-empty ``decision`` cell means the row is done, is written in full (an
 atomic replace) when a dataset starts, when it ends, and when the run is
@@ -24,9 +31,10 @@ import random
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
+from contextlib import closing
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Protocol, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Protocol, Sequence
 
 from .corpus import (
     CriteriaSet,
@@ -56,6 +64,8 @@ from .prompts import (
 DECISION_MAX_TOKENS = 8
 NARRATIVE_MAX_TOKENS = 512
 MAX_BACKOFF_S = 60.0
+
+_DECIDED = (Decision.INCLUDED, Decision.EXCLUDED)
 
 
 class RunnerError(Exception):
@@ -110,9 +120,6 @@ class DatasetStats:
     error_count: int = 0
     empty_abstract_count: int = 0
 
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
-
 
 @dataclass
 class RunReport:
@@ -128,7 +135,7 @@ class RunReport:
 
     def to_dict(self) -> dict:
         return {
-            "datasets": {name: s.to_dict() for name, s in self.datasets.items()},
+            "datasets": {name: asdict(s) for name, s in self.datasets.items()},
             "totals": {
                 "wall_time_s": self.wall_time_s,
                 "input_tokens": self.input_tokens,
@@ -199,8 +206,10 @@ class _RunLog:
 
 
 @dataclass(frozen=True)
-class _RowOutcome:
-    decision: Decision
+class _Reply:
+    """What one request came to: the kept value and the tokens of every attempt."""
+
+    value: object
     input_tokens: int
     output_tokens: int
 
@@ -212,33 +221,31 @@ def _backoff_sleep(config: RunConfig, retry_index: int) -> None:
         time.sleep(random.uniform(0, cap))
 
 
-def _screen_row(
-    record: ScreeningRecord,
-    criteria: CriteriaSet,
-    dataset_name: str,
+def _call(
+    request: CompletionRequest,
     backend: Backend,
     config: RunConfig,
     limiter: RateLimiter,
     log: _RunLog,
-) -> _RowOutcome:
-    """Resolve one row's decision: call, retry transient errors, re-ask once.
+    accept: Callable[[str], tuple[object, bool]] | None = None,
+) -> _Reply:
+    """Get one reply for ``request``: call, retry transient errors, re-ask once.
 
-    Call budget per row is 1 + max_retries (transient retries) + 1 (a single
-    re-ask when the first parsed answer is neither label). A row that
-    exhausts its budget becomes ERROR; a row that stays unreadable becomes
-    UNPARSEABLE. Neither aborts the run.
+    Every attempt passes through the limiter and leaves one run-log line.
+    ``accept`` turns a reply's text into ``(value, ok)``; without it every
+    reply is accepted as its text. A reply that is not ok is asked again
+    once with the very same prompt, so the call budget is 1 + max_retries
+    (transient retries) + 1 (the re-ask).
+
+    The returned value is the accepted one; or, when the re-ask also fails
+    to give an acceptable reply, the value of the reply last held. It is
+    ``None`` when no call succeeded: transient retries ran out, or a fatal
+    error came at any point.
     """
-    request = CompletionRequest(
-        model=config.model,
-        prompt=build_decision_prompt(record, criteria),
-        temperature=config.temperature,
-        max_output_tokens=DECISION_MAX_TOKENS,
-        dataset_name=dataset_name,
-        row_index=record.row_index,
-    )
     attempt = 0
     retries_used = 0
     reasked = False
+    held = None
     input_tokens = output_tokens = 0
 
     while True:
@@ -247,69 +254,83 @@ def _screen_row(
         started = time.monotonic()
         try:
             result = backend.complete(request)
-        except TransientBackendError:
+        except (TransientBackendError, FatalBackendError) as exc:
+            transient = isinstance(exc, TransientBackendError)
             log.record(
-                dataset=dataset_name,
-                row=record.row_index,
+                dataset=request.dataset_name,
+                row=request.row_index,
                 attempt=attempt,
                 latency_ms=(time.monotonic() - started) * 1000.0,
                 input_tokens=0,
                 output_tokens=0,
-                outcome="transient_error",
+                outcome="transient_error" if transient else "fatal_error",
             )
+            if not transient:
+                return _Reply(None, input_tokens, output_tokens)
             if reasked:
-                # The re-ask gets one shot; we already hold an unreadable answer.
-                return _RowOutcome(Decision.UNPARSEABLE, input_tokens, output_tokens)
+                # The re-ask gets one shot; we already hold a rejected reply.
+                return _Reply(held, input_tokens, output_tokens)
             if retries_used >= config.max_retries:
-                return _RowOutcome(Decision.ERROR, input_tokens, output_tokens)
+                return _Reply(None, input_tokens, output_tokens)
             _backoff_sleep(config, retries_used)
             retries_used += 1
             continue
-        except FatalBackendError:
-            log.record(
-                dataset=dataset_name,
-                row=record.row_index,
-                attempt=attempt,
-                latency_ms=(time.monotonic() - started) * 1000.0,
-                input_tokens=0,
-                output_tokens=0,
-                outcome="fatal_error",
-            )
-            return _RowOutcome(Decision.ERROR, input_tokens, output_tokens)
 
         input_tokens += result.input_tokens
         output_tokens += result.output_tokens
-        decision = parse_decision(result.text)
+        value, ok = accept(result.text) if accept else (result.text, True)
         log.record(
-            dataset=dataset_name,
-            row=record.row_index,
+            dataset=request.dataset_name,
+            row=request.row_index,
             attempt=attempt,
             latency_ms=result.latency_ms,
             input_tokens=result.input_tokens,
             output_tokens=result.output_tokens,
-            outcome="ok" if decision in (Decision.INCLUDED, Decision.EXCLUDED) else "unparseable",
+            outcome="ok" if ok else "unparseable",
         )
-        if decision in (Decision.INCLUDED, Decision.EXCLUDED):
-            return _RowOutcome(decision, input_tokens, output_tokens)
-        if reasked:
-            return _RowOutcome(Decision.UNPARSEABLE, input_tokens, output_tokens)
-        reasked = True  # ask once more with the very same prompt
+        if ok or reasked:
+            return _Reply(value, input_tokens, output_tokens)
+        held, reasked = value, True
 
 
-def _drain_completed(
-    futures: dict[Future, ScreeningRecord], done: set[Future]
-) -> Iterable[tuple[ScreeningRecord, _RowOutcome]]:
-    # Successes first, so completed rows reach the checkpoint before a crash
-    # surfacing in the same batch (e.g. an interrupt) unwinds the coordinator.
-    failed = []
-    for future in done:
-        if future.exception() is None:
-            yield futures.pop(future), future.result()
-        else:
-            failed.append(future)
-    for future in failed:
-        futures.pop(future)
-        future.result()
+def _dispatch(
+    config: RunConfig,
+    records: Iterable[ScreeningRecord],
+    fn: Callable[[ScreeningRecord], _Reply],
+) -> Iterator[tuple[ScreeningRecord, _Reply]]:
+    """Run ``fn`` on ``max_in_flight`` threads; yield ``(record, reply)`` as each ends.
+
+    Only ``2 * max_in_flight`` records are queued at a time: ``wait`` scans
+    every future it is given, so queueing them all would cost O(n) per
+    completion. When a call raises, the results that finished with it are
+    yielded first, so the caller keeps completed work, and then the exception
+    is re-raised. On any exception, or when the caller closes the generator
+    early, queued records are cancelled and running calls are waited for.
+    """
+    window = 2 * config.max_in_flight
+    unsubmitted = iter(records)
+    with ThreadPoolExecutor(max_workers=config.max_in_flight) as pool:
+        futures: dict[Future, ScreeningRecord] = {}
+        try:
+            while True:
+                for record in itertools.islice(unsubmitted, window - len(futures)):
+                    futures[pool.submit(fn, record)] = record
+                if not futures:
+                    return
+                done, _ = wait(futures, return_when=FIRST_COMPLETED)
+                # Successes first, so completed rows reach the caller before a
+                # failure in the same batch (say, an interrupt) raises from ``result``.
+                for future in sorted(done, key=lambda f: f.exception() is not None):
+                    yield futures.pop(future), future.result()
+        except BaseException:
+            # Crash, interrupt or early close: stop feeding work.
+            pool.shutdown(wait=True, cancel_futures=True)
+            raise
+
+
+def _decided(text: str) -> tuple[Decision, bool]:
+    decision = parse_decision(text)
+    return decision, decision in _DECIDED
 
 
 def _screen_dataset(
@@ -327,50 +348,44 @@ def _screen_dataset(
     stats.empty_abstract_count = sum(1 for r in records if not r.abstract)
     pending = [r for r in records if r.model_decision is None]
     stats.rows_skipped_resume = len(records) - len(pending)
-    # Only a window of rows is queued at a time: ``wait`` scans every future
-    # it is given, so queueing the whole dataset costs O(n) per completion.
-    window = 2 * config.max_in_flight
-    unsubmitted = iter(pending)
     since_flush = 0
+
+    def screen(record: ScreeningRecord) -> _Reply:
+        request = CompletionRequest(
+            model=config.model,
+            prompt=build_decision_prompt(record, criteria),
+            temperature=config.temperature,
+            max_output_tokens=DECISION_MAX_TOKENS,
+            dataset_name=name,
+            row_index=record.row_index,
+        )
+        return _call(request, backend, config, limiter, log, accept=_decided)
 
     write_results(records, results_path)
     # The CSV just written holds every decision so far, so any older journal is stale.
     journal_file = journal_path(results_path)
     journal = open(journal_file, "w", encoding="ascii")
     try:
-        with ThreadPoolExecutor(max_workers=config.max_in_flight) as pool:
-            futures: dict[Future, ScreeningRecord] = {}
-            try:
-                while True:
-                    for r in itertools.islice(unsubmitted, window - len(futures)):
-                        futures[
-                            pool.submit(_screen_row, r, criteria, name, backend, config, limiter, log)
-                        ] = r
-                    if not futures:
-                        break
-                    done, _ = wait(futures, return_when=FIRST_COMPLETED)
-                    for record, outcome in _drain_completed(futures, done):
-                        record.model_decision = outcome.decision
-                        stats.rows_screened += 1
-                        if outcome.decision is Decision.INCLUDED:
-                            stats.included_count += 1
-                        elif outcome.decision is Decision.EXCLUDED:
-                            stats.excluded_count += 1
-                        elif outcome.decision is Decision.UNPARSEABLE:
-                            stats.unparseable_count += 1
-                        else:
-                            stats.error_count += 1
-                        report.input_tokens += outcome.input_tokens
-                        report.output_tokens += outcome.output_tokens
-                        journal.write(journal_entry(record))
-                        since_flush += 1
-                        if since_flush >= config.checkpoint_every:
-                            journal.flush()
-                            since_flush = 0
-            except BaseException:
-                # Crash or interrupt: stop feeding work, keep what completed.
-                pool.shutdown(wait=True, cancel_futures=True)
-                raise
+        with closing(_dispatch(config, pending, screen)) as replies:
+            for record, reply in replies:
+                decision = Decision.ERROR if reply.value is None else reply.value
+                record.model_decision = decision
+                stats.rows_screened += 1
+                if decision is Decision.INCLUDED:
+                    stats.included_count += 1
+                elif decision is Decision.EXCLUDED:
+                    stats.excluded_count += 1
+                elif decision is Decision.UNPARSEABLE:
+                    stats.unparseable_count += 1
+                else:
+                    stats.error_count += 1
+                report.input_tokens += reply.input_tokens
+                report.output_tokens += reply.output_tokens
+                journal.write(journal_entry(record))
+                since_flush += 1
+                if since_flush >= config.checkpoint_every:
+                    journal.flush()
+                    since_flush = 0
     finally:
         # Done or interrupted, the CSV takes over every journaled decision.
         write_results(records, results_path)
@@ -436,94 +451,18 @@ class ExplainReport:
     input_tokens: int = 0
     output_tokens: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode.value,
-            "annotated_count": self.annotated_count,
-            "skipped_count": self.skipped_count,
-            "error_count": self.error_count,
-            "input_tokens": self.input_tokens,
-            "output_tokens": self.output_tokens,
-        }
 
-
-def _eligible_for(mode: PromptKind, record: ScreeningRecord) -> bool:
-    decided = (Decision.INCLUDED, Decision.EXCLUDED)
+def eligible_for(mode: PromptKind, record: ScreeningRecord) -> bool:
+    """Whether ``record`` can be explained (EXPLAIN) or reflected on (REFLECT)."""
     if mode is PromptKind.EXPLAIN:
-        return record.model_decision in decided and record.human_decision is not None
+        return record.model_decision in _DECIDED and record.human_decision is not None
     if mode is PromptKind.REFLECT:
         return (
-            record.model_decision in decided
-            and record.human_decision in decided
+            record.model_decision in _DECIDED
+            and record.human_decision in _DECIDED
             and record.human_decision is not record.model_decision
         )
     raise ValueError(f"mode must be EXPLAIN or REFLECT, got {mode}")
-
-
-def _annotate_row(
-    record: ScreeningRecord,
-    criteria: CriteriaSet,
-    dataset_name: str,
-    mode: PromptKind,
-    backend: Backend,
-    config: RunConfig,
-    limiter: RateLimiter,
-    log: _RunLog,
-) -> tuple[str | None, int, int]:
-    """Fetch one explanation or reflection; returns (text, in_tokens, out_tokens)."""
-    build = build_explain_prompt if mode is PromptKind.EXPLAIN else build_reflect_prompt
-    request = CompletionRequest(
-        model=config.model,
-        prompt=build(record, criteria, record.human_decision, record.model_decision),
-        temperature=config.temperature,
-        max_output_tokens=NARRATIVE_MAX_TOKENS,
-        dataset_name=dataset_name,
-        row_index=record.row_index,
-    )
-    attempt = 0
-    retries_used = 0
-    while True:
-        attempt += 1
-        limiter.acquire()
-        started = time.monotonic()
-        try:
-            result = backend.complete(request)
-        except TransientBackendError:
-            log.record(
-                dataset=dataset_name,
-                row=record.row_index,
-                attempt=attempt,
-                latency_ms=(time.monotonic() - started) * 1000.0,
-                input_tokens=0,
-                output_tokens=0,
-                outcome="transient_error",
-            )
-            if retries_used >= config.max_retries:
-                return None, 0, 0
-            _backoff_sleep(config, retries_used)
-            retries_used += 1
-            continue
-        except FatalBackendError:
-            log.record(
-                dataset=dataset_name,
-                row=record.row_index,
-                attempt=attempt,
-                latency_ms=(time.monotonic() - started) * 1000.0,
-                input_tokens=0,
-                output_tokens=0,
-                outcome="fatal_error",
-            )
-            return None, 0, 0
-        log.record(
-            dataset=dataset_name,
-            row=record.row_index,
-            attempt=attempt,
-            latency_ms=result.latency_ms,
-            input_tokens=result.input_tokens,
-            output_tokens=result.output_tokens,
-            outcome="ok",
-        )
-        return result.text, result.input_tokens, result.output_tokens
 
 
 def run_explanations(
@@ -539,7 +478,9 @@ def run_explanations(
 
     EXPLAIN needs a parsed model decision and a recorded human decision;
     REFLECT additionally needs the two to disagree. Rows that do not qualify
-    are skipped and counted, never an error.
+    are skipped and counted, never an error. Calls go through the same rate
+    limit, retries and backoff as screening; any reply is accepted, so there
+    is no re-ask.
     """
     if mode not in (PromptKind.EXPLAIN, PromptKind.REFLECT):
         raise ValueError(f"mode must be EXPLAIN or REFLECT, got {mode}")
@@ -547,37 +488,36 @@ def run_explanations(
     limiter = RateLimiter(config.requests_per_minute)
     report = ExplainReport(mode=mode)
 
-    eligible = [r for r in records if _eligible_for(mode, r)]
+    eligible = [r for r in records if eligible_for(mode, r)]
     report.skipped_count = len(records) - len(eligible)
     if not eligible:
         return report
 
-    with _RunLog(run_log_path) as log, ThreadPoolExecutor(max_workers=config.max_in_flight) as pool:
-        futures: dict[Future, ScreeningRecord] = {
-            pool.submit(
-                _annotate_row, r, criteria, dataset_name, mode, backend, config, limiter, log
-            ): r
-            for r in eligible
-        }
-        try:
-            while futures:
-                done, _ = wait(futures, return_when=FIRST_COMPLETED)
-                for future in done:
-                    record = futures.pop(future)
-                    text, in_tokens, out_tokens = future.result()
-                    report.input_tokens += in_tokens
-                    report.output_tokens += out_tokens
-                    if text is None:
-                        report.error_count += 1
-                        continue
-                    if mode is PromptKind.EXPLAIN:
-                        record.explanation = text
-                    else:
-                        record.reflection = text
-                    report.annotated_count += 1
-        except BaseException:
-            pool.shutdown(wait=True, cancel_futures=True)
-            raise
+    build = build_explain_prompt if mode is PromptKind.EXPLAIN else build_reflect_prompt
+
+    def annotate(record: ScreeningRecord) -> _Reply:
+        request = CompletionRequest(
+            model=config.model,
+            prompt=build(record, criteria, record.human_decision, record.model_decision),
+            temperature=config.temperature,
+            max_output_tokens=NARRATIVE_MAX_TOKENS,
+            dataset_name=dataset_name,
+            row_index=record.row_index,
+        )
+        return _call(request, backend, config, limiter, log)
+
+    with _RunLog(run_log_path) as log, closing(_dispatch(config, eligible, annotate)) as replies:
+        for record, reply in replies:
+            report.input_tokens += reply.input_tokens
+            report.output_tokens += reply.output_tokens
+            if reply.value is None:
+                report.error_count += 1
+                continue
+            if mode is PromptKind.EXPLAIN:
+                record.explanation = reply.value
+            else:
+                record.reflection = reply.value
+            report.annotated_count += 1
     return report
 
 
@@ -589,15 +529,6 @@ class DatasetCostEstimate:
     output_tokens: int
     cost: float
 
-    def to_dict(self) -> dict:
-        return {
-            "dataset_name": self.dataset_name,
-            "rows": self.rows,
-            "input_tokens": self.input_tokens,
-            "output_tokens": self.output_tokens,
-            "cost": self.cost,
-        }
-
 
 @dataclass(frozen=True)
 class CostEstimate:
@@ -606,15 +537,6 @@ class CostEstimate:
     total_output_tokens: int
     cost: float
     projected_wall_time_s: float
-
-    def to_dict(self) -> dict:
-        return {
-            "per_dataset": [d.to_dict() for d in self.per_dataset],
-            "total_input_tokens": self.total_input_tokens,
-            "total_output_tokens": self.total_output_tokens,
-            "cost": self.cost,
-            "projected_wall_time_s": self.projected_wall_time_s,
-        }
 
 
 def _dataset_cost(

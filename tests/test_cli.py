@@ -418,6 +418,20 @@ class TestEvaluate:
         # A is perfect (n=2), B is all wrong (n=2): weighted accuracy 0.5.
         assert document["weighted_total"]["accuracy"] == pytest.approx(0.5)
 
+    def test_unknown_decision_token_is_dropped_not_rejected(self, tmp_path):
+        config = make_workspace(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        rows = [dict(r, decision=r["human_decision"]) for r in DEFAULT_ROWS]
+        rows[2]["decision"] = "maybe"
+        write_dataset(out / "IVM_results.csv", rows)
+        result = invoke(config, "evaluate", "--dataset", "IVM", "--pred", "decision")
+        assert result.exit_code == 0, result.output
+        document = json.loads((out / "metrics.json").read_text())
+        assert document["datasets"][0]["confusion"] == {
+            "tp": 2, "fn": 0, "fp": 0, "tn": 1, "dropped": 1
+        }
+
     def test_dataset_and_all_are_exclusive(self, tmp_path):
         config = make_workspace(tmp_path)
         result = invoke(config, "evaluate", "--dataset", "IVM", "--all")
@@ -445,6 +459,84 @@ class TestEstimateCost:
         parts = sum(d["cost"] for d in estimate["per_dataset"])
         assert estimate["cost"] == pytest.approx(parts)
         assert estimate["total_output_tokens"] == 3
+
+
+class TestJsonArtifacts:
+    def test_key_order(self, tmp_path):
+        """The JSON files are byte-stable: keys come out in this order at every level."""
+        config = make_workspace(tmp_path)
+        for command in ("screen", "evaluate", "estimate-cost"):
+            assert invoke(config, command).exit_code == 0
+        out = tmp_path / "out"
+
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert list(metrics) == ["truth_column", "pred_column", "datasets", "weighted_total"]
+        entry = metrics["datasets"][0]
+        assert list(entry) == [
+            "dataset_name",
+            "n",
+            "n_included",
+            "accuracy",
+            "sensitivity_included",
+            "sensitivity_excluded",
+            "kappa",
+            "confusion",
+            "report",
+        ]
+        assert list(entry["confusion"]) == ["tp", "fn", "fp", "tn", "dropped"]
+        assert list(entry["report"]) == [
+            "included",
+            "excluded",
+            "macro_avg",
+            "weighted_avg",
+            "zero_division_fields",
+        ]
+        for name in ("included", "excluded", "macro_avg", "weighted_avg"):
+            assert list(entry["report"][name]) == ["precision", "recall", "f1", "support"]
+        assert entry["report"]["zero_division_fields"] == []
+        assert list(metrics["weighted_total"]) == [
+            "n_total",
+            "accuracy",
+            "sensitivity_included",
+            "sensitivity_excluded",
+            "kappa",
+            "weighting",
+        ]
+
+        estimate = json.loads((out / "estimate.json").read_text())
+        assert list(estimate) == [
+            "per_dataset",
+            "total_input_tokens",
+            "total_output_tokens",
+            "cost",
+            "projected_wall_time_s",
+        ]
+        assert list(estimate["per_dataset"][0]) == [
+            "dataset_name",
+            "rows",
+            "input_tokens",
+            "output_tokens",
+            "cost",
+        ]
+
+        report = json.loads((out / "run_report.json").read_text())
+        assert list(report) == ["datasets", "totals"]
+        assert list(report["datasets"]["IVM"]) == [
+            "rows_total",
+            "rows_screened",
+            "rows_skipped_resume",
+            "included_count",
+            "excluded_count",
+            "unparseable_count",
+            "error_count",
+            "empty_abstract_count",
+        ]
+        assert list(report["totals"]) == [
+            "wall_time_s",
+            "input_tokens",
+            "output_tokens",
+            "estimated_cost",
+        ]
 
 
 class TestConfigHandling:

@@ -17,6 +17,7 @@ from absieve.corpus import (
 )
 from absieve.llm import (
     CompletionResult,
+    FatalBackendError,
     MockBackend,
     MockScript,
     TransientBackendError,
@@ -182,6 +183,15 @@ class TestRunScreening:
         run_screening(MANIFEST, {"D": records}, backend, fast_config(), tmp_path)
         assert records[0].model_decision is Decision.UNPARSEABLE
         assert backend.calls == 2
+
+    def test_reask_failing_fatally_yields_error_and_keeps_tokens(self, tmp_path):
+        backend = ScriptedBackend(["garbage", FatalBackendError("bad request")])
+        records = make_records(1)
+        report = run_screening(MANIFEST, {"D": records}, backend, fast_config(), tmp_path)
+        assert records[0].model_decision is Decision.ERROR
+        assert backend.calls == 2
+        # The unreadable first reply was billed and stays in the ledger.
+        assert (report.input_tokens, report.output_tokens) == (1, 1)
 
     def test_per_row_call_budget_ceiling(self, tmp_path):
         # Worst case: max_retries transient errors, then two unreadable answers.
@@ -442,6 +452,42 @@ class TestRateAndConcurrency:
         assert min(gaps) >= 0.09
 
 
+class TestDispatchWindow:
+    """``wait`` scans every future it is given, so only a window may be queued."""
+
+    @pytest.fixture
+    def largest_wait(self, monkeypatch):
+        import absieve.runner
+
+        sizes = []
+        real_wait = absieve.runner.wait
+
+        def recording_wait(fs, *args, **kwargs):
+            sizes.append(len(fs))
+            return real_wait(fs, *args, **kwargs)
+
+        monkeypatch.setattr(absieve.runner, "wait", recording_wait)
+        return lambda: max(sizes)
+
+    def test_screening_queues_at_most_two_windows(self, tmp_path, largest_wait):
+        config = fast_config(max_in_flight=2)
+        records = make_records(50)
+        run_screening(MANIFEST, {"D": records}, mock({"default": "excluded"}), config, tmp_path)
+        assert all(r.model_decision is Decision.EXCLUDED for r in records)
+        assert largest_wait() <= 2 * config.max_in_flight
+
+    def test_explanations_queue_at_most_two_windows(self, largest_wait):
+        config = fast_config(max_in_flight=2)
+        records = make_records(50)
+        for r in records:
+            r.human_decision = r.model_decision = Decision.INCLUDED
+        report = run_explanations(
+            records, CRITERIA, mock({"default": "why"}), config, PromptKind.EXPLAIN, "D"
+        )
+        assert report.annotated_count == 50
+        assert largest_wait() <= 2 * config.max_in_flight
+
+
 class TestCheckpointing:
     def test_interrupt_then_resume_matches_uninterrupted(self, tmp_path):
         script = {"default": "excluded", "D/2": "included", "D/4": "included"}
@@ -494,6 +540,20 @@ class TestCheckpointing:
         decided = [row for row in read_csv_rows(tmp_path / "D_results.csv") if row["decision"]]
         assert len(decided) == 3
         assert not (tmp_path / "D_results.journal.jsonl").exists()
+
+    def test_interrupt_on_the_coordinator_stops_dispatch(self, tmp_path, monkeypatch):
+        def interrupted(record):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("absieve.runner.journal_entry", interrupted)
+        backend = mock({"default": "excluded"}, delay_s=0.01)
+        config = fast_config(max_in_flight=2)
+        with pytest.raises(KeyboardInterrupt):
+            run_screening(MANIFEST, {"D": make_records(50)}, backend, config, tmp_path)
+        calls = backend.call_count
+        time.sleep(0.1)
+        assert backend.call_count == calls <= 2 * config.max_in_flight
+        assert len(read_csv_rows(tmp_path / "D_results.csv")) == 50
 
     def test_journal_holds_rows_since_the_last_csv_write(self, tmp_path):
         journal = tmp_path / "D_results.journal.jsonl"
@@ -572,6 +632,43 @@ class TestRunExplanations:
         assert report.error_count == 1
         assert report.annotated_count == 1
         assert records[0].explanation is None
+
+    def test_transient_errors_then_success(self, tmp_path):
+        records = self._annotated_records()
+        backend = ScriptedBackend(
+            [TransientBackendError("a"), TransientBackendError("b"), "a rationale"]
+        )
+        log_path = tmp_path / "run.jsonl"
+        report = run_explanations(
+            records[:1], CRITERIA, backend, fast_config(), PromptKind.EXPLAIN, "D", log_path
+        )
+        assert records[0].explanation == "a rationale"
+        assert report.annotated_count == 1
+        assert backend.calls == 3
+        outcomes = [json.loads(line)["outcome"] for line in log_path.read_text().splitlines()]
+        assert outcomes == ["transient_error", "transient_error", "ok"]
+
+    def test_retries_exhausted_counts_as_error(self):
+        records = self._annotated_records()
+        backend = ScriptedBackend([TransientBackendError("always")])
+        report = run_explanations(
+            records[:1], CRITERIA, backend, fast_config(max_retries=2), PromptKind.EXPLAIN, "D"
+        )
+        assert report.error_count == 1
+        assert report.annotated_count == 0
+        assert records[0].explanation is None
+        assert backend.calls == 3
+
+    def test_in_flight_never_exceeds_limit(self):
+        records = make_records(12)
+        for r in records:
+            r.human_decision = r.model_decision = Decision.INCLUDED
+        backend = mock({"default": "why"}, delay_s=0.05)
+        run_explanations(
+            records, CRITERIA, backend, fast_config(max_in_flight=3), PromptKind.EXPLAIN, "D"
+        )
+        assert backend.max_in_flight_observed <= 3
+        assert backend.call_count == 12
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError):
