@@ -69,9 +69,8 @@ class CliFailure(click.ClickException):
 
 @dataclass
 class AppConfig:
-    backend_kind: str  # "http" or "mock"
     base_url: str | None
-    mock_script: Path | None
+    mock_script: Path | None  # set for the mock backend, None for HTTP
     credential_env: str
     run: RunConfig
     manifest_path: Path
@@ -79,22 +78,34 @@ class AppConfig:
     output_dir: Path
 
 
-def _get(parser: configparser.ConfigParser, section: str, key: str) -> str | None:
-    if parser.has_option(section, key):
-        value = parser.get(section, key).strip()
-        return value or None
-    return None
-
-
-def _coerce(value: str, kind: type, field: str):
-    try:
-        return kind(value)
-    except ValueError:
-        raise CliFailure(f"config field {field}: cannot parse {value!r} as {kind.__name__}")
+# Every setting once, in --help order: INI section, key, override flag, help.
+# The flag's parameter is named after the key, so flag and INI value meet by key.
+_SETTINGS = (
+    ("paths", "manifest", "--manifest", "Override paths.manifest."),
+    ("paths", "data_dir", "--data-dir", "Override paths.data_dir."),
+    ("paths", "output_dir", "--output-dir", "Override paths.output_dir."),
+    ("backend", "base_url", "--base-url", "Override backend.base_url."),
+    ("backend", "mock_script", "--mock-script", "Override backend.mock_script."),
+    ("backend", "model", "--model", "Override backend.model."),
+    ("backend", "temperature", "--temperature", "Override backend.temperature."),
+    ("backend", "credential_env", "--credential-env", "Environment variable holding the API key."),
+    ("runner", "max_in_flight", "--max-in-flight", "Override runner.max_in_flight."),
+    ("runner", "requests_per_minute", "--requests-per-minute", "Override runner.requests_per_minute."),
+    ("runner", "max_retries", "--max-retries", "Override runner.max_retries."),
+    ("runner", "backoff_base_s", "--backoff-base", "Override runner.backoff_base_s (seconds)."),
+    ("runner", "checkpoint_every", "--checkpoint-every", "Override runner.checkpoint_every."),
+    ("runner", "price_per_1k_input", "--price-per-1k-input", "Override runner.price_per_1k_input (USD)."),
+    ("runner", "price_per_1k_output", "--price-per-1k-output", "Override runner.price_per_1k_output (USD)."),
+)
 
 
 def load_app_config(path: Path, overrides: dict[str, str | None]) -> AppConfig:
-    """Parse the INI config, apply flag overrides, and validate."""
+    """Parse the INI config, apply flag overrides, and validate.
+
+    ``overrides`` maps a setting's key to its flag value. A flag value wins
+    over the INI value, and an empty value counts as unset. A setting that
+    is a :class:`RunConfig` field is converted to the type of its default.
+    """
     parser = configparser.ConfigParser()
     if not path.exists():
         raise CliFailure(f"config file not found: {path}")
@@ -103,70 +114,50 @@ def load_app_config(path: Path, overrides: dict[str, str | None]) -> AppConfig:
     except configparser.Error as exc:
         raise CliFailure(f"config file {path}: {exc}")
 
-    def setting(section: str, key: str, flag: str) -> str | None:
-        if overrides.get(flag) is not None:
-            return str(overrides[flag])
-        return _get(parser, section, key)
+    run = RunConfig()
+    values: dict[str, str | None] = {}
+    for section, key, _, _ in _SETTINGS:
+        value = overrides.get(key) or parser.get(section, key, fallback="").strip() or None
+        if value is None or key not in vars(run):
+            values[key] = value
+            continue
+        kind = type(getattr(run, key))
+        try:
+            setattr(run, key, kind(value))
+        except ValueError:
+            raise CliFailure(f"config field {section}.{key}: cannot parse {value!r} as {kind.__name__}")
 
-    base_url = setting("backend", "base_url", "base_url")
-    mock_script = setting("backend", "mock_script", "mock_script")
-    if bool(base_url) == bool(mock_script):
+    if bool(values["base_url"]) == bool(values["mock_script"]):
         raise CliFailure(
             "exactly one backend must be configured: set either backend.base_url "
             "or backend.mock_script"
         )
+    for key in ("manifest", "data_dir", "output_dir"):
+        if not values[key]:
+            raise CliFailure(f"config field paths.{key} is required")
 
-    run = RunConfig()
-    model = setting("backend", "model", "model")
-    if model:
-        run.model = model
-    temperature = setting("backend", "temperature", "temperature")
-    if temperature is not None:
-        run.temperature = _coerce(temperature, float, "backend.temperature")
-    for key, kind in (
-        ("max_in_flight", int),
-        ("requests_per_minute", int),
-        ("max_retries", int),
-        ("backoff_base_s", float),
-        ("checkpoint_every", int),
-        ("price_per_1k_input", float),
-        ("price_per_1k_output", float),
-    ):
-        raw = setting("runner", key, key)
-        if raw is not None:
-            setattr(run, key, _coerce(raw, kind, f"runner.{key}"))
-
-    manifest = setting("paths", "manifest", "manifest")
-    if not manifest:
-        raise CliFailure("config field paths.manifest is required")
-    data_dir = setting("paths", "data_dir", "data_dir")
-    if not data_dir:
-        raise CliFailure("config field paths.data_dir is required")
-    output_dir = setting("paths", "output_dir", "output_dir")
-    if not output_dir:
-        raise CliFailure("config field paths.output_dir is required")
-
-    manifest_path = Path(manifest)
+    manifest_path = Path(values["manifest"])
     if not manifest_path.exists():
         raise CliFailure(f"paths.manifest does not exist: {manifest_path}")
-    data_path = Path(data_dir)
+    data_path = Path(values["data_dir"])
     if not data_path.is_dir():
         raise CliFailure(f"paths.data_dir is not a directory: {data_path}")
-    out_path = Path(output_dir)
-    out_path.mkdir(parents=True, exist_ok=True)
+    out_path = Path(values["output_dir"])
+    try:
+        out_path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CliFailure(f"paths.output_dir cannot be created: {exc}")
 
     mock_path = None
-    if mock_script:
-        mock_path = Path(mock_script)
+    if values["mock_script"]:
+        mock_path = Path(values["mock_script"])
         if not mock_path.exists():
             raise CliFailure(f"backend.mock_script does not exist: {mock_path}")
 
     return AppConfig(
-        backend_kind="mock" if mock_script else "http",
-        base_url=base_url,
+        base_url=values["base_url"],
         mock_script=mock_path,
-        credential_env=setting("backend", "credential_env", "credential_env")
-        or "ABSIEVE_API_KEY",
+        credential_env=values["credential_env"] or "ABSIEVE_API_KEY",
         run=run,
         manifest_path=manifest_path,
         data_dir=data_path,
@@ -175,7 +166,7 @@ def load_app_config(path: Path, overrides: dict[str, str | None]) -> AppConfig:
 
 
 def _make_backend(config: AppConfig):
-    if config.backend_kind == "mock":
+    if config.mock_script is not None:
         return MockBackend(MockScript.from_file(config.mock_script))
     try:
         return HttpBackend(config.base_url, api_key_env=config.credential_env)
@@ -221,8 +212,10 @@ def _load_records(
     return records
 
 
-_CONFIG_OPTIONS = [
-    click.option(
+def config_options(command):
+    for _, key, flag, help_text in reversed(_SETTINGS):
+        command = click.option(flag, key, default=None, help=help_text)(command)
+    return click.option(
         "--config",
         "-c",
         "config_path",
@@ -230,59 +223,7 @@ _CONFIG_OPTIONS = [
         default=Path("absieve.ini"),
         show_default=True,
         help="Path to the INI configuration file.",
-    ),
-    click.option("--manifest", default=None, help="Override paths.manifest."),
-    click.option("--data-dir", "data_dir", default=None, help="Override paths.data_dir."),
-    click.option("--output-dir", "output_dir", default=None, help="Override paths.output_dir."),
-    click.option("--base-url", "base_url", default=None, help="Override backend.base_url."),
-    click.option("--mock-script", "mock_script", default=None, help="Override backend.mock_script."),
-    click.option("--model", default=None, help="Override backend.model."),
-    click.option("--temperature", default=None, help="Override backend.temperature."),
-    click.option(
-        "--credential-env",
-        "credential_env",
-        default=None,
-        help="Environment variable holding the API key.",
-    ),
-    click.option("--max-in-flight", "max_in_flight", default=None, help="Override runner.max_in_flight."),
-    click.option(
-        "--requests-per-minute",
-        "requests_per_minute",
-        default=None,
-        help="Override runner.requests_per_minute.",
-    ),
-    click.option("--max-retries", "max_retries", default=None, help="Override runner.max_retries."),
-    click.option(
-        "--backoff-base",
-        "backoff_base_s",
-        default=None,
-        help="Override runner.backoff_base_s (seconds).",
-    ),
-    click.option(
-        "--checkpoint-every",
-        "checkpoint_every",
-        default=None,
-        help="Override runner.checkpoint_every.",
-    ),
-    click.option(
-        "--price-per-1k-input",
-        "price_per_1k_input",
-        default=None,
-        help="Override runner.price_per_1k_input (USD).",
-    ),
-    click.option(
-        "--price-per-1k-output",
-        "price_per_1k_output",
-        default=None,
-        help="Override runner.price_per_1k_output (USD).",
-    ),
-]
-
-
-def config_options(command):
-    for option in reversed(_CONFIG_OPTIONS):
-        command = option(command)
-    return command
+    )(command)
 
 
 def _split_config_kwargs(kwargs: dict) -> AppConfig:
@@ -347,15 +288,12 @@ def _run_explain(
 ) -> None:
     config = _split_config_kwargs(kwargs)
     manifest = _load_manifest(config)
-    if dataset not in manifest:
-        raise CliFailure(f"dataset {dataset!r} is not listed in the manifest")
+    _dataset_names(manifest, dataset)
     results_path = _results_path(config, dataset)
     if not results_path.exists():
         raise CliFailure(f"results file not found (run `screen` first): {results_path}")
-    try:
-        records = load_dataset(results_path, dataset, manifest)
-    except CorpusError as exc:
-        raise CliFailure(str(exc))
+    # With the journal of a killed screen folded in, as `screen --resume` reads it.
+    records = _load_records(config, manifest, dataset, resume=True)
 
     mode = PromptKind.EXPLAIN if mode_name == "explain" else PromptKind.REFLECT
     eligible = [r for r in records if eligible_for(mode, r)]
@@ -558,42 +496,27 @@ def evaluate(dataset: str | None, evaluate_all: bool, truth: str, pred: str, **k
         json.dumps(document, indent=2) + "\n", encoding="ascii"
     )
 
+    # Each row is formatted once, for the CSV and the printed table alike. The
+    # total's kappa is always None, so its cell reads "-".
+    labelled = [(m.dataset_name, m) for m in per_dataset] + [("Total (Weighted Average)", summary)]
+    table = [
+        (
+            label,
+            _format_ratio(m.accuracy),
+            _format_ratio(m.sensitivity_included),
+            _format_ratio(m.sensitivity_excluded),
+            _format_kappa(m.kappa),
+        )
+        for label, m in labelled
+    ]
     with open(config.output_dir / METRICS_TABLE_NAME, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
         writer.writerow(TABLE_COLUMNS)
-        for m in per_dataset:
-            writer.writerow(
-                [
-                    m.dataset_name,
-                    _format_ratio(m.accuracy),
-                    _format_ratio(m.sensitivity_included),
-                    _format_ratio(m.sensitivity_excluded),
-                    _format_kappa(m.kappa),
-                ]
-            )
-        writer.writerow(
-            [
-                "Total (Weighted Average)",
-                _format_ratio(summary.accuracy),
-                _format_ratio(summary.sensitivity_included),
-                _format_ratio(summary.sensitivity_excluded),
-                "-",
-            ]
-        )
+        writer.writerows(table)
 
-    header = f"{'Dataset':<28} {'Accuracy':>9} {'Sens(Inc)':>10} {'Sens(Exc)':>10} {'Kappa':>7}"
-    click.echo(header)
-    for m in per_dataset:
-        click.echo(
-            f"{m.dataset_name:<28} {_format_ratio(m.accuracy):>9} "
-            f"{_format_ratio(m.sensitivity_included):>10} "
-            f"{_format_ratio(m.sensitivity_excluded):>10} {_format_kappa(m.kappa):>7}"
-        )
-    click.echo(
-        f"{'Total (Weighted Average)':<28} {_format_ratio(summary.accuracy):>9} "
-        f"{_format_ratio(summary.sensitivity_included):>10} "
-        f"{_format_ratio(summary.sensitivity_excluded):>10} {'-':>7}"
-    )
+    click.echo(f"{'Dataset':<28} {'Accuracy':>9} {'Sens(Inc)':>10} {'Sens(Exc)':>10} {'Kappa':>7}")
+    for label, accuracy, sens_inc, sens_exc, kappa in table:
+        click.echo(f"{label:<28} {accuracy:>9} {sens_inc:>10} {sens_exc:>10} {kappa:>7}")
     click.echo(f"weighting: {summary.weighting}")
 
 

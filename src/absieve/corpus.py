@@ -90,6 +90,10 @@ class Decision(enum.Enum):
     ERROR = "error"
 
 
+# The decided pair: the two real answers, as opposed to a failure to get one.
+DECIDED = (Decision.INCLUDED, Decision.EXCLUDED)
+
+
 @dataclass(frozen=True)
 class CriteriaSet:
     """A dataset's natural-language inclusion and exclusion criteria."""

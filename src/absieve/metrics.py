@@ -15,14 +15,12 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
-from .corpus import Decision
+from .corpus import DECIDED, Decision
 
 WEIGHTING_NOTE = (
     "size-weighted mean: each dataset contributes with weight n / sum(n), "
     "where n counts its comparable (non-dropped) rows"
 )
-
-_DECIDED = (Decision.INCLUDED, Decision.EXCLUDED)
 
 
 class MetricsError(Exception):
@@ -83,7 +81,7 @@ def confusion_matrix(
         )
     tp = fn = fp = tn = dropped = 0
     for t, p in zip(truth, predicted):
-        if t not in _DECIDED or p not in _DECIDED:
+        if t not in DECIDED or p not in DECIDED:
             dropped += 1
         elif t is Decision.INCLUDED:
             if p is Decision.INCLUDED:

@@ -14,7 +14,7 @@ from functools import lru_cache
 from importlib import resources
 from string import Formatter
 
-from .corpus import CriteriaSet, Decision, ScreeningRecord
+from .corpus import DECIDED, CriteriaSet, Decision, ScreeningRecord
 
 
 class PromptError(Exception):
@@ -85,7 +85,7 @@ def build_decision_prompt(record: ScreeningRecord, criteria: CriteriaSet) -> Pro
 
 
 def _require_decided(decision: Decision, role: str) -> None:
-    if decision not in (Decision.INCLUDED, Decision.EXCLUDED):
+    if decision not in DECIDED:
         raise InvalidDecision(
             f"{role} decision must be included or excluded, got {decision.value!r}"
         )

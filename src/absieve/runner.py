@@ -37,6 +37,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Protocol, Sequence
 
 from .corpus import (
+    DECIDED,
     CriteriaSet,
     Decision,
     ScreeningManifest,
@@ -64,8 +65,6 @@ from .prompts import (
 DECISION_MAX_TOKENS = 8
 NARRATIVE_MAX_TOKENS = 512
 MAX_BACKOFF_S = 60.0
-
-_DECIDED = (Decision.INCLUDED, Decision.EXCLUDED)
 
 
 class RunnerError(Exception):
@@ -107,6 +106,13 @@ class RunConfig:
         for name in ("price_per_1k_input", "price_per_1k_output"):
             if getattr(self, name) < 0:
                 raise ConfigInvalid(f"{name} must be >= 0")
+
+    def cost(self, input_tokens: int, output_tokens: int) -> float:
+        """USD for the given token counts at this config's per-1k prices."""
+        return (
+            input_tokens / 1000.0 * self.price_per_1k_input
+            + output_tokens / 1000.0 * self.price_per_1k_output
+        )
 
 
 @dataclass
@@ -330,7 +336,7 @@ def _dispatch(
 
 def _decided(text: str) -> tuple[Decision, bool]:
     decision = parse_decision(text)
-    return decision, decision in _DECIDED
+    return decision, decision in DECIDED
 
 
 def _screen_dataset(
@@ -435,10 +441,7 @@ def run_screening(
             )
 
     report.wall_time_s = time.monotonic() - run_started
-    report.estimated_cost = (
-        report.input_tokens / 1000.0 * config.price_per_1k_input
-        + report.output_tokens / 1000.0 * config.price_per_1k_output
-    )
+    report.estimated_cost = config.cost(report.input_tokens, report.output_tokens)
     return report
 
 
@@ -455,11 +458,11 @@ class ExplainReport:
 def eligible_for(mode: PromptKind, record: ScreeningRecord) -> bool:
     """Whether ``record`` can be explained (EXPLAIN) or reflected on (REFLECT)."""
     if mode is PromptKind.EXPLAIN:
-        return record.model_decision in _DECIDED and record.human_decision is not None
+        return record.model_decision in DECIDED and record.human_decision is not None
     if mode is PromptKind.REFLECT:
         return (
-            record.model_decision in _DECIDED
-            and record.human_decision in _DECIDED
+            record.model_decision in DECIDED
+            and record.human_decision in DECIDED
             and record.human_decision is not record.model_decision
         )
     raise ValueError(f"mode must be EXPLAIN or REFLECT, got {mode}")
@@ -549,10 +552,7 @@ def _dataset_cost(
         count_tokens_estimate(build_decision_prompt(r, criteria).body) for r in records
     )
     output_tokens = len(records)  # one single-word reply per row
-    cost = (
-        input_tokens / 1000.0 * config.price_per_1k_input
-        + output_tokens / 1000.0 * config.price_per_1k_output
-    )
+    cost = config.cost(input_tokens, output_tokens)
     return DatasetCostEstimate(name, len(records), input_tokens, output_tokens, cost)
 
 

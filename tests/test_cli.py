@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import configparser
 import json
 import os
 import signal
@@ -12,8 +13,10 @@ import pytest
 from click.testing import CliRunner
 
 import absieve
+from absieve import cli
 from absieve.cli import main
 from absieve.corpus import CriteriaSet, ManifestEntry, ScreeningManifest, fold_journal, load_dataset
+from absieve.runner import RunConfig
 from conftest import read_csv_rows, write_dataset, write_manifest, write_mock_script
 
 runner = CliRunner()
@@ -337,6 +340,23 @@ class TestExplainReflect:
         assert result.exit_code == 2
         assert "screen" in result.output
 
+    def test_reflect_folds_leftover_journal(self, tmp_path):
+        # A killed screen leaves the CSV as written at the start, plus the journal.
+        config = make_workspace(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        write_dataset(out / "IVM_results.csv", DEFAULT_ROWS)
+        decisions = ["included", "excluded", "included", "excluded"]
+        (out / "IVM_results.journal.jsonl").write_text(
+            "".join(f'{{"row": {i}, "decision": "{d}"}}\n' for i, d in enumerate(decisions))
+        )
+        result = invoke(config, "reflect", "--dataset", "IVM")
+        assert result.exit_code == 0, result.output
+        assert "IVM: 2 annotated" in result.output
+        rows = read_csv_rows(out / "IVM_results.csv")
+        assert [r["decision"] for r in rows] == decisions
+        assert [bool(r["reflection"]) for r in rows] == [False, True, True, False]
+
 
 class TestEvaluate:
     def test_emits_json_table_confusion_and_svg(self, tmp_path):
@@ -436,6 +456,38 @@ class TestEvaluate:
         config = make_workspace(tmp_path)
         result = invoke(config, "evaluate", "--dataset", "IVM", "--all")
         assert result.exit_code == 2
+
+    def test_table_csv_and_stdout_for_two_datasets(self, tmp_path):
+        datasets = {
+            "IVM": DEFAULT_ROWS,
+            "SSRI": [
+                {"title": "s0", "abstract": "b0", "human_decision": "included"},
+                {"title": "s1", "abstract": "b1", "human_decision": "excluded"},
+                {"title": "s2", "abstract": "b2", "human_decision": "excluded"},
+                {"title": "s3", "abstract": "b3", "human_decision": ""},
+            ],
+        }
+        script = dict(DEFAULT_SCRIPT, **{"SSRI/0": "included", "SSRI/1": "included"})
+        config = make_workspace(tmp_path, datasets=datasets, script=script)
+        assert invoke(config, "screen").exit_code == 0
+        result = invoke(config, "evaluate", "--all")
+        assert result.exit_code == 0, result.output
+        # SSRI: tp 1, fp 1, tn 1 and one dropped row; kappa (2/3 - 4/9) / (1 - 4/9) = 0.4.
+        # Totals weight IVM by 4 and SSRI by 3: accuracy 4/7, sensitivity (included) 5/7.
+        assert (tmp_path / "out" / "metrics_table.csv").read_bytes() == (
+            b"Dataset,Accuracy,Sensitivity (Included),Sensitivity (Excluded),Kappa\r\n"
+            b"IVM,0.500,0.500,0.500,0.00\r\n"
+            b"SSRI,0.667,1.000,0.500,0.40\r\n"
+            b"Total (Weighted Average),0.571,0.714,0.500,-\r\n"
+        )
+        assert result.output == (
+            "Dataset                       Accuracy  Sens(Inc)  Sens(Exc)   Kappa\n"
+            "IVM                              0.500      0.500      0.500    0.00\n"
+            "SSRI                             0.667      1.000      0.500    0.40\n"
+            "Total (Weighted Average)         0.571      0.714      0.500       -\n"
+            "weighting: size-weighted mean: each dataset contributes with weight n / sum(n), "
+            "where n counts its comparable (non-dropped) rows\n"
+        )
 
 
 class TestEstimateCost:
@@ -582,3 +634,186 @@ class TestConfigHandling:
         result = invoke(config, "screen")
         assert result.exit_code == 2
         assert "max_in_flight" in result.output
+
+
+# Every setting as the README documents it: INI section, key, override flag and help.
+SETTINGS = [
+    ("paths", "manifest", "--manifest", "Override paths.manifest."),
+    ("paths", "data_dir", "--data-dir", "Override paths.data_dir."),
+    ("paths", "output_dir", "--output-dir", "Override paths.output_dir."),
+    ("backend", "base_url", "--base-url", "Override backend.base_url."),
+    ("backend", "mock_script", "--mock-script", "Override backend.mock_script."),
+    ("backend", "model", "--model", "Override backend.model."),
+    ("backend", "temperature", "--temperature", "Override backend.temperature."),
+    ("backend", "credential_env", "--credential-env", "Environment variable holding the API key."),
+    ("runner", "max_in_flight", "--max-in-flight", "Override runner.max_in_flight."),
+    ("runner", "requests_per_minute", "--requests-per-minute", "Override runner.requests_per_minute."),
+    ("runner", "max_retries", "--max-retries", "Override runner.max_retries."),
+    ("runner", "backoff_base_s", "--backoff-base", "Override runner.backoff_base_s (seconds)."),
+    ("runner", "checkpoint_every", "--checkpoint-every", "Override runner.checkpoint_every."),
+    ("runner", "price_per_1k_input", "--price-per-1k-input", "Override runner.price_per_1k_input (USD)."),
+    ("runner", "price_per_1k_output", "--price-per-1k-output", "Override runner.price_per_1k_output (USD)."),
+]
+SETTING_IDS = [key for _, key, _, _ in SETTINGS]
+RUN_DEFAULTS = vars(RunConfig())
+
+# A valid INI value and a different valid flag value per setting. The float
+# settings get integer-looking INI values, so an int conversion would show.
+# "{alt}" is a directory with a second manifest, data dir and script per source.
+SAMPLES = {
+    "manifest": ("{alt}/ini_manifest.csv", "{alt}/flag_manifest.csv"),
+    "data_dir": ("{alt}/ini_data", "{alt}/flag_data"),
+    "output_dir": ("{alt}/ini_out", "{alt}/flag_out"),
+    "base_url": ("http://127.0.0.1:9/ini", "http://127.0.0.1:9/flag"),
+    "mock_script": ("{alt}/ini_script.json", "{alt}/flag_script.json"),
+    "model": ("ini-model", "flag-model"),
+    "temperature": ("1", "0.5"),
+    "credential_env": ("INI_KEY", "FLAG_KEY"),
+    "max_in_flight": ("3", "7"),
+    "requests_per_minute": ("30", "90"),
+    "max_retries": ("0", "9"),
+    "backoff_base_s": ("2", "0.25"),
+    "checkpoint_every": ("5", "50"),
+    "price_per_1k_input": ("1", "0.125"),
+    "price_per_1k_output": ("3", "0.375"),
+}
+
+# A value each setting rejects. Any text is a valid base_url, model or credential_env.
+BAD_VALUES = {
+    "manifest": "{alt}/missing.csv",
+    "data_dir": "{alt}/ini_manifest.csv",
+    "output_dir": "{alt}/ini_manifest.csv/out",
+    "mock_script": "{alt}/missing.json",
+    "temperature": "warm",
+    "max_in_flight": "1.5",
+    "requests_per_minute": "fast",
+    "max_retries": "two",
+    "backoff_base_s": "1s",
+    "checkpoint_every": "often",
+    "price_per_1k_input": "cheap",
+    "price_per_1k_output": "$1",
+}
+
+COMMAND_OPTIONS = {
+    "screen": [
+        (["--dataset"], "Screen a single named dataset."),
+        (["--resume"], "Continue from an existing results file."),
+    ],
+    "explain": [
+        (["--dataset"], "Dataset whose results file to annotate."),
+        (["--mode"], None),
+        (["--sample"], "Annotate K eligible rows, sampled with --seed."),
+        (["--rows"], "Comma-separated row indexes to annotate."),
+        (["--seed"], "Sampling seed."),
+    ],
+    "reflect": [
+        (["--dataset"], "Dataset whose results file to annotate."),
+        (["--sample"], "Annotate K eligible rows, sampled with --seed."),
+        (["--rows"], "Comma-separated row indexes to annotate."),
+        (["--seed"], "Sampling seed."),
+    ],
+    "evaluate": [
+        (["--dataset"], "Evaluate a single named dataset."),
+        (["--all"], "Evaluate every manifest dataset."),
+        (["--truth"], "Ground-truth column."),
+        (["--pred"], "Predicted column."),
+    ],
+    "estimate-cost": [],
+}
+
+
+def settings_workspace(tmp_path: Path, ini: dict[str, str]) -> tuple[Path, Path]:
+    """A workspace whose INI also sets ``ini`` (key -> value); returns (config, alt dir)."""
+    config = make_workspace(tmp_path)
+    alt = tmp_path / "alt"
+    alt.mkdir()
+    for source in ("ini", "flag"):
+        write_manifest(alt / f"{source}_manifest.csv", [["IVM", "i", "e"]])
+        (alt / f"{source}_data").mkdir()
+        write_mock_script(alt / f"{source}_script.json", {})
+    parser = configparser.ConfigParser()
+    parser.read(config)
+    for section, key, _, _ in SETTINGS:
+        if key in ini:
+            parser.set(section, key, ini[key].format(alt=alt))
+            if key == "base_url":
+                parser.remove_option("backend", "mock_script")
+    with open(config, "w") as fh:
+        parser.write(fh)
+    return config, alt
+
+
+@pytest.fixture
+def loaded(monkeypatch) -> list:
+    """The AppConfig each command builds; the command stops right after building it."""
+    seen = []
+
+    def stop(config):
+        seen.append(config)
+        raise cli.CliFailure("stopped after loading the config")
+
+    monkeypatch.setattr(cli, "_load_manifest", stop)
+    return seen
+
+
+def landed(config, key: str):
+    if key in RUN_DEFAULTS:
+        return getattr(config.run, key)
+    return getattr(config, "manifest_path" if key == "manifest" else key)
+
+
+def expected(key: str, raw: str, alt: Path):
+    if key in RUN_DEFAULTS:
+        return type(RUN_DEFAULTS[key])(raw)
+    if key in ("base_url", "credential_env"):
+        return raw
+    return Path(raw.format(alt=alt))
+
+
+class TestSettings:
+    @pytest.mark.parametrize("command", sorted(COMMAND_OPTIONS))
+    def test_option_names_order_and_help(self, command):
+        config_options = [(["--config", "-c"], "Path to the INI configuration file.")]
+        config_options += [([flag], help_text) for _, _, flag, help_text in SETTINGS]
+        params = main.commands[command].params
+        assert [(p.opts, p.help) for p in params] == config_options + COMMAND_OPTIONS[command]
+
+    @pytest.mark.parametrize("section,key,flag,_help", SETTINGS, ids=SETTING_IDS)
+    def test_ini_value_reaches_config_with_default_type(self, tmp_path, loaded, section, key, flag, _help):
+        raw = SAMPLES[key][0]
+        config, alt = settings_workspace(tmp_path, {key: raw})
+        assert invoke(config, "screen").exit_code == 2
+        value = landed(loaded[0], key)
+        assert value == expected(key, raw, alt)
+        if key in RUN_DEFAULTS:
+            assert type(value) is type(RUN_DEFAULTS[key])
+
+    @pytest.mark.parametrize("section,key,flag,_help", SETTINGS, ids=SETTING_IDS)
+    def test_flag_beats_ini_value(self, tmp_path, loaded, section, key, flag, _help):
+        ini_raw, flag_raw = SAMPLES[key]
+        config, alt = settings_workspace(tmp_path, {key: ini_raw})
+        assert invoke(config, "screen", flag, flag_raw.format(alt=alt)).exit_code == 2
+        assert landed(loaded[0], key) == expected(key, flag_raw, alt)
+
+    @pytest.mark.parametrize("section,key,flag,_help", SETTINGS, ids=SETTING_IDS)
+    def test_empty_flag_leaves_ini_value(self, tmp_path, loaded, section, key, flag, _help):
+        raw = SAMPLES[key][0]
+        config, alt = settings_workspace(tmp_path, {key: raw})
+        assert invoke(config, "screen", flag, "").exit_code == 2
+        assert landed(loaded[0], key) == expected(key, raw, alt)
+
+    @pytest.mark.parametrize("source", ["ini", "flag"])
+    @pytest.mark.parametrize(
+        "section,key,flag",
+        [(section, key, flag) for section, key, flag, _ in SETTINGS if key in BAD_VALUES],
+        ids=[key for key in SETTING_IDS if key in BAD_VALUES],
+    )
+    def test_bad_value_exits_two_and_names_the_field(self, tmp_path, section, key, flag, source):
+        config, alt = settings_workspace(tmp_path, {key: BAD_VALUES[key]} if source == "ini" else {})
+        args = [flag, BAD_VALUES[key].format(alt=alt)] if source == "flag" else []
+        result = invoke(config, "screen", *args)
+        assert result.exit_code == 2
+        assert f"{section}.{key}" in result.output
+        if key in RUN_DEFAULTS:
+            kind = type(RUN_DEFAULTS[key]).__name__
+            assert f"cannot parse {BAD_VALUES[key]!r} as {kind}" in result.output
