@@ -20,6 +20,7 @@ from pathlib import Path
 
 import click
 
+from . import __version__
 from . import metrics as metrics_mod
 from .corpus import (
     CorpusError,
@@ -65,6 +66,16 @@ class CliFailure(click.ClickException):
     """Configuration or usage failure; maps to exit status 2."""
 
     exit_code = 2
+
+
+class _Main(click.Group):
+    """The one place the library's usage and configuration errors become exit 2."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (CorpusError, ConfigInvalid, AuthMissing) as exc:
+            raise CliFailure(str(exc))
 
 
 @dataclass
@@ -168,17 +179,11 @@ def load_app_config(path: Path, overrides: dict[str, str | None]) -> AppConfig:
 def _make_backend(config: AppConfig):
     if config.mock_script is not None:
         return MockBackend(MockScript.from_file(config.mock_script))
-    try:
-        return HttpBackend(config.base_url, api_key_env=config.credential_env)
-    except AuthMissing as exc:
-        raise CliFailure(str(exc))
+    return HttpBackend(config.base_url, api_key_env=config.credential_env)
 
 
 def _load_manifest(config: AppConfig) -> ScreeningManifest:
-    try:
-        return load_manifest(config.manifest_path)
-    except CorpusError as exc:
-        raise CliFailure(str(exc))
+    return load_manifest(config.manifest_path)
 
 
 def _dataset_names(manifest: ScreeningManifest, dataset: str | None) -> list[str]:
@@ -193,6 +198,17 @@ def _results_path(config: AppConfig, name: str) -> Path:
     return config.output_dir / f"{name}_results.csv"
 
 
+def _screened_results(config: AppConfig, name: str) -> Path:
+    path = _results_path(config, name)
+    if not path.exists():
+        raise CliFailure(f"results file not found (run `screen` first): {path}")
+    return path
+
+
+def _write_json(path: Path, document: dict) -> None:
+    path.write_text(json.dumps(document, indent=2) + "\n", encoding="ascii")
+
+
 def _load_records(
     config: AppConfig, manifest: ScreeningManifest, name: str, resume: bool
 ) -> list[ScreeningRecord]:
@@ -202,13 +218,10 @@ def _load_records(
         source = _results_path(config, name)
     if not source.exists():
         raise CliFailure(f"dataset file not found: {source}")
-    try:
-        records = load_dataset(source, name, manifest)
-        if resuming:
-            # Rows a killed run journaled after its last full write of the CSV.
-            fold_journal(records, journal_path(source))
-    except CorpusError as exc:
-        raise CliFailure(str(exc))
+    records = load_dataset(source, name, manifest)
+    if resuming:
+        # Rows a killed run journaled after its last full write of the CSV.
+        fold_journal(records, journal_path(source))
     return records
 
 
@@ -232,8 +245,8 @@ def _split_config_kwargs(kwargs: dict) -> AppConfig:
     return load_app_config(config_path, kwargs)
 
 
-@click.group()
-@click.version_option(package_name="absieve")
+@click.group(cls=_Main)
+@click.version_option(__version__)
 def main() -> None:
     """Batch title/abstract screening against natural-language criteria."""
 
@@ -248,21 +261,15 @@ def screen(dataset: str | None, resume: bool, **kwargs) -> None:
     manifest = _load_manifest(config)
     names = _dataset_names(manifest, dataset)
     datasets = {name: _load_records(config, manifest, name, resume) for name in names}
-    backend = _make_backend(config)
-    try:
-        report = run_screening(
-            manifest,
-            datasets,
-            backend,
-            config.run,
-            config.output_dir,
-            run_log_path=config.output_dir / RUN_LOG_NAME,
-        )
-    except (ConfigInvalid, CorpusError) as exc:
-        raise CliFailure(str(exc))
-
-    report_path = config.output_dir / RUN_REPORT_NAME
-    report_path.write_text(json.dumps(report.to_dict(), indent=2) + "\n", encoding="ascii")
+    report = run_screening(
+        manifest,
+        datasets,
+        _make_backend(config),
+        config.run,
+        config.output_dir,
+        run_log_path=config.output_dir / RUN_LOG_NAME,
+    )
+    _write_json(config.output_dir / RUN_REPORT_NAME, report.to_dict())
     for name, stats in report.datasets.items():
         click.echo(
             f"{name}: {stats.rows_total} rows, {stats.rows_screened} screened, "
@@ -289,9 +296,7 @@ def _run_explain(
     config = _split_config_kwargs(kwargs)
     manifest = _load_manifest(config)
     _dataset_names(manifest, dataset)
-    results_path = _results_path(config, dataset)
-    if not results_path.exists():
-        raise CliFailure(f"results file not found (run `screen` first): {results_path}")
+    results_path = _screened_results(config, dataset)
     # With the journal of a killed screen folded in, as `screen --resume` reads it.
     records = _load_records(config, manifest, dataset, resume=True)
 
@@ -317,20 +322,16 @@ def _run_explain(
             chosen = random.Random(seed).sample(eligible, sample)
             chosen.sort(key=lambda r: r.row_index)
 
-    backend = _make_backend(config)
-    try:
-        report = run_explanations(
-            chosen,
-            manifest.criteria_for(dataset),
-            backend,
-            config.run,
-            mode,
-            dataset,
-            run_log_path=config.output_dir / RUN_LOG_NAME,
-        )
-        write_results(records, results_path)
-    except (ConfigInvalid, CorpusError) as exc:
-        raise CliFailure(str(exc))
+    report = run_explanations(
+        chosen,
+        manifest.criteria_for(dataset),
+        _make_backend(config),
+        config.run,
+        mode,
+        dataset,
+        run_log_path=config.output_dir / RUN_LOG_NAME,
+    )
+    write_results(records, results_path)
     click.echo(
         f"{dataset}: {report.annotated_count} annotated, {report.skipped_count} skipped, "
         f"{report.error_count} errors ({mode_name})"
@@ -377,11 +378,8 @@ def _decision_columns(
     empty or not a known decision token count as missing, which drops the
     row from the comparison (and shows up in the ``dropped`` tally).
     """
-    try:
-        header, rows = read_rows(path)
-        index = header_index(header, path)
-    except CorpusError as exc:
-        raise CliFailure(str(exc))
+    header, rows = read_rows(path)
+    index = header_index(header, path)
 
     def column(name: str) -> list[Decision | None]:
         pos = index.get(clean_text(name).lower())
@@ -464,10 +462,7 @@ def evaluate(dataset: str | None, evaluate_all: bool, truth: str, pred: str, **k
 
     per_dataset: list[metrics_mod.DatasetMetrics] = []
     for name in names:
-        path = _results_path(config, name)
-        if not path.exists():
-            raise CliFailure(f"results file not found (run `screen` first): {path}")
-        truth_col, pred_col = _decision_columns(path, truth, pred)
+        truth_col, pred_col = _decision_columns(_screened_results(config, name), truth, pred)
         try:
             per_dataset.append(metrics_mod.DatasetMetrics.from_decisions(name, truth_col, pred_col))
         except metrics_mod.EmptyMatrix:
@@ -492,9 +487,7 @@ def evaluate(dataset: str | None, evaluate_all: bool, truth: str, pred: str, **k
         "datasets": [m.to_dict() for m in per_dataset],
         "weighted_total": summary.to_dict(),
     }
-    (config.output_dir / METRICS_JSON_NAME).write_text(
-        json.dumps(document, indent=2) + "\n", encoding="ascii"
-    )
+    _write_json(config.output_dir / METRICS_JSON_NAME, document)
 
     # Each row is formatted once, for the CSV and the printed table alike. The
     # total's kappa is always None, so its cell reads "-".
@@ -530,14 +523,8 @@ def estimate_cost_cmd(**kwargs) -> None:
         name: _load_records(config, manifest, name, resume=False)
         for name in manifest.names()
     }
-    try:
-        estimate = estimate_cost(manifest, datasets, config.run)
-    except (ConfigInvalid, CorpusError) as exc:
-        raise CliFailure(str(exc))
-
-    (config.output_dir / ESTIMATE_JSON_NAME).write_text(
-        json.dumps(asdict(estimate), indent=2) + "\n", encoding="ascii"
-    )
+    estimate = estimate_cost(manifest, datasets, config.run)
+    _write_json(config.output_dir / ESTIMATE_JSON_NAME, asdict(estimate))
     for d in estimate.per_dataset:
         click.echo(
             f"{d.dataset_name}: {d.rows} rows, {d.input_tokens} input tokens, "

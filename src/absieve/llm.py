@@ -8,16 +8,17 @@ policy belongs to the runner.
 
 from __future__ import annotations
 
+import http.client
 import json
 import math
 import os
 import re
 import threading
 import time
+import urllib.error
+import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import requests
 
 from .corpus import Decision
 from .prompts import PromptText
@@ -116,25 +117,19 @@ class HttpBackend:
     """OpenAI-compatible chat-completions client.
 
     POSTs to ``{base_url}/v1/chat/completions`` with the prompt as a single
-    user message. The bearer token comes from the environment (never from a
-    config file); a missing credential fails construction, before any
-    network traffic.
+    user message, over one ``urllib.request`` connection per call (proxies
+    from the environment; urllib's redirect rules). The bearer token comes
+    from the environment (never from a config file); a missing credential
+    fails construction, before any network traffic.
     """
 
-    def __init__(
-        self,
-        base_url: str,
-        api_key_env: str = API_KEY_ENV,
-        timeout_s: float = 120.0,
-        session: requests.Session | None = None,
-    ):
+    def __init__(self, base_url: str, api_key_env: str = API_KEY_ENV, timeout_s: float = 120.0):
         key = os.environ.get(api_key_env, "")
         if not key:
             raise AuthMissing(f"environment variable {api_key_env} is not set")
         self._url = base_url.rstrip("/") + "/v1/chat/completions"
         self._key = key
         self._timeout = timeout_s
-        self._session = session or requests.Session()
 
     def complete(self, request: CompletionRequest) -> CompletionResult:
         payload = {
@@ -144,24 +139,31 @@ class HttpBackend:
             "max_tokens": request.max_output_tokens,
         }
         started = time.monotonic()
+        # Any failure to connect, send or read, or a URL urllib cannot parse
+        # (ValueError), is transient; an HTTP status is judged below.
         try:
-            response = self._session.post(
-                self._url,
-                headers={"Authorization": f"Bearer {self._key}"},
-                json=payload,
-                timeout=self._timeout,
+            post = urllib.request.Request(
+                self._url, json.dumps(payload).encode(), {"Content-Type": "application/json"}
             )
-        except requests.RequestException as exc:
+            # Unredirected: the token goes to base_url only, never to a redirect target.
+            post.add_unredirected_header("Authorization", f"Bearer {self._key}")
+            try:
+                with urllib.request.urlopen(post, timeout=self._timeout) as response:
+                    status, raw = response.status, response.read()
+            except urllib.error.HTTPError as exc:
+                with exc:
+                    status, raw = exc.code, exc.read()
+        except (OSError, http.client.HTTPException, ValueError) as exc:
             raise TransientBackendError(str(exc)) from exc
         latency_ms = (time.monotonic() - started) * 1000.0
 
-        if response.status_code == 429 or response.status_code >= 500:
-            raise TransientBackendError(f"HTTP {response.status_code}")
-        if response.status_code != 200:
-            raise FatalBackendError(f"HTTP {response.status_code}: {response.text[:200]}")
+        if status == 429 or status >= 500:
+            raise TransientBackendError(f"HTTP {status}")
+        if status != 200:
+            raise FatalBackendError(f"HTTP {status}: {raw.decode('utf-8', 'replace')[:200]}")
 
         try:
-            body = response.json()
+            body = json.loads(raw)
             text = body["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise FatalBackendError(f"malformed response body: {exc}") from exc

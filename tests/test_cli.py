@@ -636,6 +636,22 @@ class TestConfigHandling:
         assert "max_in_flight" in result.output
 
 
+    @pytest.mark.parametrize("command", ["screen", "explain", "estimate-cost"])
+    def test_invalid_runner_flag_exits_two_from_each_command(self, tmp_path, command):
+        config = make_workspace(tmp_path)
+        assert invoke(config, "screen").exit_code == 0
+        args = ["--dataset", "IVM"] if command == "explain" else []
+        result = invoke(config, command, *args, "--max-in-flight", "0")
+        assert result.exit_code == 2
+        assert "max_in_flight" in result.output
+
+
+class TestVersion:
+    def test_version_comes_from_the_package_sources(self):
+        result = runner.invoke(main, ["--version"])
+        assert result.exit_code == 0
+        assert result.output.endswith(f", version {absieve.__version__}\n")
+
 # Every setting as the README documents it: INI section, key, override flag and help.
 SETTINGS = [
     ("paths", "manifest", "--manifest", "Override paths.manifest."),

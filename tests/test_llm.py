@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import contextlib
 import json
+import os
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -187,16 +191,25 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
 
+@contextlib.contextmanager
+def serving(handler):
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+
+
 @pytest.fixture
 def http_server():
     _Handler.responses = []
     _Handler.seen = []
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_address[1]}", _Handler
-    server.shutdown()
-    thread.join(timeout=5)
+    with serving(_Handler) as url:
+        yield url, _Handler
 
 
 def _ok_body(text: str = "included", usage: dict | None = None) -> dict:
@@ -288,3 +301,85 @@ class TestHttpBackend:
         backend = HttpBackend(url, api_key_env="OTHER_KEY")
         backend.complete(request_for())
         assert handler.seen[0]["auth"] == "Bearer alt"
+
+
+class _CutShortHandler(BaseHTTPRequestHandler):
+    """Announces a 1,000-byte body, sends a few bytes of it, then closes."""
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", "1000")
+        self.end_headers()
+        self.wfile.write(b'{"choices": [')
+        self.close_connection = True
+
+    def log_message(self, *args):
+        pass
+
+
+class _RedirectHandler(BaseHTTPRequestHandler):
+    """Redirects every POST to ``target`` and records the headers of every request."""
+
+    target = ""
+    seen: list[tuple[str, str | None]] = []
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        type(self).seen.append(("POST", self.headers.get("Authorization")))
+        self.send_response(302)
+        self.send_header("Location", type(self).target)
+        self.send_header("Content-Length", "0")
+        self.end_headers()
+
+    def do_GET(self):
+        type(self).seen.append(("GET", self.headers.get("Authorization")))
+        raw = json.dumps(_ok_body()).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(raw)))
+        self.end_headers()
+        self.wfile.write(raw)
+
+    def log_message(self, *args):
+        pass
+
+
+class TestHttpTransport:
+    """What the HTTP client under ``HttpBackend`` must keep, whichever it is."""
+
+    def test_body_cut_short_is_transient(self, monkeypatch):
+        monkeypatch.setenv("ABSIEVE_API_KEY", "k")
+        with serving(_CutShortHandler) as url:
+            with pytest.raises(TransientBackendError):
+                HttpBackend(url).complete(request_for())
+
+    @pytest.mark.parametrize("base_url", ["api.example.com", "127.0.0.1:9"])
+    def test_base_url_without_scheme_is_transient(self, monkeypatch, base_url):
+        monkeypatch.setenv("ABSIEVE_API_KEY", "k")
+        with pytest.raises(TransientBackendError):
+            HttpBackend(base_url).complete(request_for())
+
+    def test_client_error_message_has_status_and_start_of_body(self, http_server, monkeypatch):
+        url, handler = http_server
+        monkeypatch.setenv("ABSIEVE_API_KEY", "k")
+        handler.responses.append((422, "x" * 150 + "y" * 150))
+        with pytest.raises(FatalBackendError) as info:
+            HttpBackend(url).complete(request_for())
+        assert str(info.value) == "HTTP 422: " + "x" * 150 + "y" * 50
+
+    def test_token_is_not_sent_to_a_redirect_target(self, monkeypatch):
+        monkeypatch.setenv("ABSIEVE_API_KEY", "sk-secret")
+        _RedirectHandler.seen = []
+        with serving(_RedirectHandler) as other, serving(_RedirectHandler) as first:
+            _RedirectHandler.target = other + "/elsewhere"
+            HttpBackend(first).complete(request_for())
+        assert _RedirectHandler.seen == [("POST", "Bearer sk-secret"), ("GET", None)]
+
+    def test_importing_the_cli_does_not_import_requests(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = "import sys, absieve.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'requests'))"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout == "[]\n"
