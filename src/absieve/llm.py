@@ -8,22 +8,22 @@ policy belongs to the runner.
 
 from __future__ import annotations
 
-import http.client
 import json
 import math
 import os
 import re
 import threading
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
+from urllib.parse import urljoin, urlsplit
 
 from .corpus import Decision
 from .prompts import PromptText
 
 API_KEY_ENV = "ABSIEVE_API_KEY"
+# How many 307/308 redirects one call follows before the status fails the row.
+MAX_REDIRECTS = 5
 
 
 class BackendError(Exception):
@@ -113,23 +113,59 @@ def parse_decision(text: str) -> Decision:
     return Decision.UNPARSEABLE
 
 
+def _origin(url: str) -> tuple[str, str | None, int | None] | None:
+    """Scheme, host and port of ``url`` (the default port filled in); ``None`` if unparseable."""
+    try:
+        parts = urlsplit(url)
+        port = parts.port or {"http": 80, "https": 443}.get(parts.scheme)
+    except ValueError:
+        return None
+    return parts.scheme, parts.hostname, port
+
+
 class HttpBackend:
     """OpenAI-compatible chat-completions client.
 
     POSTs to ``{base_url}/v1/chat/completions`` with the prompt as a single
     user message, over one ``urllib.request`` connection per call (proxies
-    from the environment; urllib's redirect rules). The bearer token comes
-    from the environment (never from a config file); a missing credential
-    fails construction, before any network traffic.
+    from the environment). A 307/308 redirect is followed by posting the same
+    body to its ``Location``, at most ``MAX_REDIRECTS`` times; urllib itself
+    follows 301/302/303 as a GET. The bearer token comes from the environment
+    (never from a config file) and is sent only to ``base_url``'s scheme, host
+    and port; a missing credential fails construction, before any network
+    traffic.
     """
 
     def __init__(self, base_url: str, api_key_env: str = API_KEY_ENV, timeout_s: float = 120.0):
         key = os.environ.get(api_key_env, "")
         if not key:
             raise AuthMissing(f"environment variable {api_key_env} is not set")
+        # Loaded here rather than at import, so commands that build no
+        # HttpBackend (mock runs, evaluate) never load the HTTP and TLS stack.
+        import http.client
+        import urllib.error
+        import urllib.request
+
+        self._urllib = urllib
+        # Failing to connect, send or read, or a URL urllib cannot parse (ValueError).
+        self._transport_errors = (OSError, http.client.HTTPException, ValueError)
         self._url = base_url.rstrip("/") + "/v1/chat/completions"
+        self._origin = _origin(self._url)
         self._key = key
         self._timeout = timeout_s
+
+    def _post(self, url: str, data: bytes) -> tuple[int, str | None, bytes]:
+        """POST ``data`` to ``url`` once: the response's status, ``Location`` and body."""
+        post = self._urllib.request.Request(url, data, {"Content-Type": "application/json"})
+        if _origin(url) == self._origin:
+            # Unredirected: urllib's own 301/302/303 handling never forwards the token.
+            post.add_unredirected_header("Authorization", f"Bearer {self._key}")
+        try:
+            with self._urllib.request.urlopen(post, timeout=self._timeout) as response:
+                return response.status, response.headers.get("Location"), response.read()
+        except self._urllib.error.HTTPError as exc:
+            with exc:
+                return exc.code, exc.headers.get("Location"), exc.read()
 
     def complete(self, request: CompletionRequest) -> CompletionResult:
         payload = {
@@ -138,22 +174,19 @@ class HttpBackend:
             "temperature": request.temperature,
             "max_tokens": request.max_output_tokens,
         }
+        data = json.dumps(payload).encode()
         started = time.monotonic()
-        # Any failure to connect, send or read, or a URL urllib cannot parse
-        # (ValueError), is transient; an HTTP status is judged below.
+        url = self._url
+        # A transport failure is transient; an HTTP status is judged below.
         try:
-            post = urllib.request.Request(
-                self._url, json.dumps(payload).encode(), {"Content-Type": "application/json"}
-            )
-            # Unredirected: the token goes to base_url only, never to a redirect target.
-            post.add_unredirected_header("Authorization", f"Bearer {self._key}")
-            try:
-                with urllib.request.urlopen(post, timeout=self._timeout) as response:
-                    status, raw = response.status, response.read()
-            except urllib.error.HTTPError as exc:
-                with exc:
-                    status, raw = exc.code, exc.read()
-        except (OSError, http.client.HTTPException, ValueError) as exc:
+            for _ in range(MAX_REDIRECTS + 1):
+                status, location, raw = self._post(url, data)
+                if status not in (307, 308) or not location:
+                    break
+                url = urljoin(url, location)
+                if urlsplit(url).scheme not in ("http", "https"):
+                    break
+        except self._transport_errors as exc:
             raise TransientBackendError(str(exc)) from exc
         latency_ms = (time.monotonic() - started) * 1000.0
 

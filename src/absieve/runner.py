@@ -10,8 +10,11 @@ Screening and explain/reflect share one call path and one dispatcher.
 ``_call`` does limiter, backend call, run-log line, transient retry with
 full-jitter backoff and fatal stop; screening adds only an "accept this
 reply?" hook that triggers its single re-ask. ``_dispatch`` runs a worker
-function over the rows with a bounded window of queued calls, so the cost
-per row stays flat as a dataset grows.
+function over the rows on ``max_in_flight`` threads that take rows from one
+shared iterator and hand replies back through one completion queue. At most
+``2 * max_in_flight`` rows are taken ahead of the caller, and handing a
+reply back costs the same however many calls are pending, so the cost per
+row stays flat as a dataset grows.
 
 Checkpoints are a results CSV plus an append-only journal. The CSV, where a
 non-empty ``decision`` cell means the row is done, is written in full (an
@@ -25,12 +28,11 @@ final file.
 
 from __future__ import annotations
 
-import itertools
 import json
+import queue
 import random
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from contextlib import closing
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -306,32 +308,59 @@ def _dispatch(
 ) -> Iterator[tuple[ScreeningRecord, _Reply]]:
     """Run ``fn`` on ``max_in_flight`` threads; yield ``(record, reply)`` as each ends.
 
-    Only ``2 * max_in_flight`` records are queued at a time: ``wait`` scans
-    every future it is given, so queueing them all would cost O(n) per
-    completion. When a call raises, the results that finished with it are
-    yielded first, so the caller keeps completed work, and then the exception
-    is re-raised. On any exception, or when the caller closes the generator
-    early, queued records are cancelled and running calls are waited for.
+    Each worker takes the next record from the shared iterator and puts
+    ``(record, reply)``, or the exception ``fn`` raised, on one completion
+    queue, which this generator drains in the order the calls ended. A
+    semaphore of ``2 * max_in_flight`` slots bounds the records taken but not
+    yet yielded, so finished replies cannot pile up ahead of the caller.
+    A failure is re-raised when the queue reaches it, after every reply that
+    finished before it. On any exception, or when the caller closes the
+    generator early, the stop event keeps workers from taking another record
+    and running calls are waited for.
     """
-    window = 2 * config.max_in_flight
-    unsubmitted = iter(records)
-    with ThreadPoolExecutor(max_workers=config.max_in_flight) as pool:
-        futures: dict[Future, ScreeningRecord] = {}
+    source = iter(records)
+    taking = threading.Lock()
+    window = threading.Semaphore(2 * config.max_in_flight)
+    stop = threading.Event()
+    finished: queue.SimpleQueue = queue.SimpleQueue()
+
+    def work() -> None:
         try:
-            while True:
-                for record in itertools.islice(unsubmitted, window - len(futures)):
-                    futures[pool.submit(fn, record)] = record
-                if not futures:
+            while window.acquire() and not stop.is_set():
+                with taking:
+                    record = next(source, None)
+                if record is None:
                     return
-                done, _ = wait(futures, return_when=FIRST_COMPLETED)
-                # Successes first, so completed rows reach the caller before a
-                # failure in the same batch (say, an interrupt) raises from ``result``.
-                for future in sorted(done, key=lambda f: f.exception() is not None):
-                    yield futures.pop(future), future.result()
-        except BaseException:
-            # Crash, interrupt or early close: stop feeding work.
-            pool.shutdown(wait=True, cancel_futures=True)
-            raise
+                finished.put((record, fn(record)))
+        except BaseException as exc:
+            # Re-raised on the coordinator; no worker takes another record.
+            stop.set()
+            finished.put(exc)
+        finally:
+            finished.put(None)  # this worker is done
+
+    workers = [threading.Thread(target=work, daemon=True) for _ in range(config.max_in_flight)]
+    for worker in workers:
+        worker.start()
+    running = len(workers)
+    try:
+        while running:
+            item = finished.get()
+            if item is None:
+                running -= 1
+            elif isinstance(item, BaseException):
+                raise item
+            else:
+                window.release()
+                yield item
+    finally:
+        # Done, crash, interrupt or early close: take no new record, wake any
+        # worker waiting for a slot, and wait for running calls.
+        stop.set()
+        for _ in workers:
+            window.release()
+        for worker in workers:
+            worker.join()
 
 
 def _decided(text: str) -> tuple[Decision, bool]:

@@ -266,6 +266,52 @@ class TestJournal:
             ).read_bytes()
         assert not list((killed / "out").glob("*.journal.jsonl"))
 
+    @pytest.mark.skipif(os.name != "posix", reason="needs POSIX signals")
+    @pytest.mark.parametrize("interrupt_after", [1, 5])
+    def test_sigint_then_resume_matches_uninterrupted(self, tmp_path, interrupt_after):
+        datasets = {"IVM": KILL_ROWS, "OTHER": KILL_ROWS[:4]}
+        straight, interrupted = tmp_path / "straight", tmp_path / "interrupted"
+        straight.mkdir()
+        interrupted.mkdir()
+        config = make_workspace(straight, datasets=datasets, script=dict(KILL_SCRIPT))
+        assert invoke(config, "screen").exit_code == 0
+
+        config = make_workspace(interrupted, datasets=datasets, script=dict(KILL_SCRIPT))
+        out = interrupted / "out"
+        src = str(Path(absieve.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        child = subprocess.Popen(
+            [sys.executable, "-c", SLOW_SCREEN_CHILD, "0.05", "screen", "--config", str(config)],
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while _journal_lines(out / "IVM_results.journal.jsonl") < interrupt_after:
+                assert child.poll() is None, "screen exited before it could be interrupted"
+                assert time.monotonic() < deadline, "journal never reached the interrupt point"
+                time.sleep(0.005)
+            # The coordinator is blocked waiting for a reply; SIGINT must still reach it.
+            child.send_signal(signal.SIGINT)
+            child.wait(timeout=30)
+        finally:
+            child.kill()
+            child.wait()
+        assert child.returncode == 1  # click's "Aborted!"
+
+        # The interrupted run wrote every journaled row into the CSV and dropped the journal.
+        decided = [row for row in read_csv_rows(out / "IVM_results.csv") if row["decision"]]
+        assert len(decided) >= interrupt_after
+        assert not list(out.glob("*.journal.jsonl"))
+
+        result = invoke(config, "screen", "--resume")
+        assert result.exit_code == 0, result.output
+        for name in datasets:
+            assert (out / f"{name}_results.csv").read_bytes() == (
+                straight / "out" / f"{name}_results.csv"
+            ).read_bytes()
+
 
 class TestExplainReflect:
     def test_reflect_fills_both_disagreements(self, tmp_path):

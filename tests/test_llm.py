@@ -17,6 +17,7 @@ from absieve.llm import (
     AuthMissing,
     CompletionRequest,
     FatalBackendError,
+    MAX_REDIRECTS,
     HttpBackend,
     MockBackend,
     MockScript,
@@ -346,6 +347,36 @@ class _RedirectHandler(BaseHTTPRequestHandler):
         pass
 
 
+class _RepostHandler(BaseHTTPRequestHandler):
+    """Redirects a POST to ``/v1/chat/completions`` with ``status`` to ``target``; answers any other path.
+
+    Records the path, token and payload of every request it receives.
+    """
+
+    status = 307
+    target = ""
+    seen: list[tuple[str, str | None, dict]] = []
+
+    def do_POST(self):
+        payload = json.loads(self.rfile.read(int(self.headers.get("Content-Length", 0))))
+        type(self).seen.append((self.path, self.headers.get("Authorization"), payload))
+        if self.path == "/v1/chat/completions":
+            self.send_response(type(self).status)
+            self.send_header("Location", type(self).target)
+            self.send_header("Content-Length", "0")
+            self.end_headers()
+            return
+        raw = json.dumps(_ok_body(f"served at {self.path}")).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(raw)))
+        self.end_headers()
+        self.wfile.write(raw)
+
+    def log_message(self, *args):
+        pass
+
+
 class TestHttpTransport:
     """What the HTTP client under ``HttpBackend`` must keep, whichever it is."""
 
@@ -383,3 +414,54 @@ class TestHttpTransport:
         code = "import sys, absieve.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'requests'))"
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert out.stdout == "[]\n"
+
+    def test_importing_the_cli_loads_no_http_stack_or_thread_pool(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        heavy = ["http.client", "urllib.request", "ssl", "email.parser", "concurrent.futures"]
+        code = f"import sys, absieve.cli; print([m for m in {heavy!r} if m in sys.modules])"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout == "[]\n"
+
+    def test_same_origin_307_reposts_the_body_with_the_token(self, monkeypatch):
+        monkeypatch.setenv("ABSIEVE_API_KEY", "sk-secret")
+        _RepostHandler.status, _RepostHandler.seen = 307, []
+        with serving(_RepostHandler) as url:
+            _RepostHandler.target = "/v2/chat/completions"
+            result = HttpBackend(url).complete(request_for())
+        assert result.text == "served at /v2/chat/completions"
+        (first_path, first_auth, payload), second = _RepostHandler.seen
+        assert (first_path, first_auth) == ("/v1/chat/completions", "Bearer sk-secret")
+        assert second == ("/v2/chat/completions", "Bearer sk-secret", payload)
+        assert payload["messages"] == [{"role": "user", "content": "screen this"}]
+
+    def test_cross_origin_308_reposts_the_body_without_the_token(self, monkeypatch):
+        monkeypatch.setenv("ABSIEVE_API_KEY", "sk-secret")
+        _RepostHandler.status, _RepostHandler.seen = 308, []
+        # Same host, another port: another origin.
+        with serving(_RepostHandler) as other, serving(_RepostHandler) as first:
+            _RepostHandler.target = other + "/moved"
+            result = HttpBackend(first).complete(request_for())
+        assert result.text == "served at /moved"
+        (first_path, first_auth, payload), second = _RepostHandler.seen
+        assert (first_path, first_auth) == ("/v1/chat/completions", "Bearer sk-secret")
+        assert second == ("/moved", None, payload)
+
+    def test_redirect_loop_stops_at_the_hop_limit(self, monkeypatch):
+        monkeypatch.setenv("ABSIEVE_API_KEY", "k")
+        _RepostHandler.status, _RepostHandler.seen = 307, []
+        with serving(_RepostHandler) as url:
+            _RepostHandler.target = "/v1/chat/completions"
+            with pytest.raises(FatalBackendError, match="^HTTP 307: $"):
+                HttpBackend(url).complete(request_for())
+        assert len(_RepostHandler.seen) == 1 + MAX_REDIRECTS
+
+    def test_redirect_to_another_scheme_is_not_followed(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("ABSIEVE_API_KEY", "k")
+        (tmp_path / "reply.json").write_text(json.dumps(_ok_body()))
+        _RepostHandler.status, _RepostHandler.seen = 308, []
+        with serving(_RepostHandler) as url:
+            _RepostHandler.target = (tmp_path / "reply.json").as_uri()
+            with pytest.raises(FatalBackendError, match="^HTTP 308: $"):
+                HttpBackend(url).complete(request_for())
+        assert len(_RepostHandler.seen) == 1

@@ -4,6 +4,7 @@ import json
 import sys
 import threading
 import time
+from contextlib import closing
 
 import pytest
 
@@ -452,31 +453,43 @@ class TestRateAndConcurrency:
         assert min(gaps) >= 0.09
 
 
-class TestDispatchWindow:
-    """``wait`` scans every future it is given, so only a window may be queued."""
+class TestPulledAheadBound:
+    """Only ``2 * max_in_flight`` records may be taken from the rows and not yet handed back."""
 
     @pytest.fixture
-    def largest_wait(self, monkeypatch):
+    def largest_gap(self, monkeypatch):
         import absieve.runner
 
-        sizes = []
-        real_wait = absieve.runner.wait
+        gaps = []
+        real_dispatch = absieve.runner._dispatch
 
-        def recording_wait(fs, *args, **kwargs):
-            sizes.append(len(fs))
-            return real_wait(fs, *args, **kwargs)
+        def counting_dispatch(config, records, fn):
+            pulled = 0
 
-        monkeypatch.setattr(absieve.runner, "wait", recording_wait)
-        return lambda: max(sizes)
+            def counted():
+                nonlocal pulled
+                for record in records:
+                    pulled += 1
+                    yield record
 
-    def test_screening_queues_at_most_two_windows(self, tmp_path, largest_wait):
+            yielded = 0
+            with closing(real_dispatch(config, counted(), fn)) as replies:
+                for item in replies:
+                    yielded += 1
+                    gaps.append(pulled - yielded)
+                    yield item
+
+        monkeypatch.setattr(absieve.runner, "_dispatch", counting_dispatch)
+        return lambda: max(gaps)
+
+    def test_screening_pulls_at_most_two_windows_ahead(self, tmp_path, largest_gap):
         config = fast_config(max_in_flight=2)
         records = make_records(50)
         run_screening(MANIFEST, {"D": records}, mock({"default": "excluded"}), config, tmp_path)
         assert all(r.model_decision is Decision.EXCLUDED for r in records)
-        assert largest_wait() <= 2 * config.max_in_flight
+        assert largest_gap() <= 2 * config.max_in_flight
 
-    def test_explanations_queue_at_most_two_windows(self, largest_wait):
+    def test_explanations_pull_at_most_two_windows_ahead(self, largest_gap):
         config = fast_config(max_in_flight=2)
         records = make_records(50)
         for r in records:
@@ -485,7 +498,22 @@ class TestDispatchWindow:
             records, CRITERIA, mock({"default": "why"}), config, PromptKind.EXPLAIN, "D"
         )
         assert report.annotated_count == 50
-        assert largest_wait() <= 2 * config.max_in_flight
+        assert largest_gap() <= 2 * config.max_in_flight
+
+    def test_every_record_comes_back_once_under_contention(self, largest_gap):
+        import absieve.runner
+
+        config = fast_config(max_in_flight=8)  # more workers than cores
+        records = make_records(2000)
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            replies = list(absieve.runner._dispatch(config, records, lambda r: r.row_index))
+        finally:
+            sys.setswitchinterval(previous)
+        assert sorted(reply for _, reply in replies) == list(range(2000))
+        assert all(record.row_index == reply for record, reply in replies)
+        assert largest_gap() <= 2 * config.max_in_flight
 
 
 class TestCheckpointing:
@@ -554,6 +582,42 @@ class TestCheckpointing:
         time.sleep(0.1)
         assert backend.call_count == calls <= 2 * config.max_in_flight
         assert len(read_csv_rows(tmp_path / "D_results.csv")) == 50
+
+    def test_worker_failure_keeps_the_successes_that_finished_first(self, tmp_path, monkeypatch):
+        import absieve.runner
+
+        successes_returned = threading.Barrier(4)
+        failed = threading.Event()
+
+        class FailsLast:
+            def complete(self, request):
+                successes_returned.wait(timeout=10)  # all four calls are in flight together
+                if request.row_index < 3:
+                    return CompletionResult("included", 1, 1, 0.0)
+                time.sleep(0.2)  # the three successes reach the dispatcher first
+                failed.set()
+                raise RuntimeError("worker crashed")
+
+        journaled = []
+        real_entry = absieve.runner.journal_entry
+
+        def slow_entry(record):
+            # Hold the coordinator at the first row until the failure is queued behind the rest.
+            if not journaled:
+                assert failed.wait(timeout=10)
+                time.sleep(0.1)
+            journaled.append(record.row_index)
+            return real_entry(record)
+
+        monkeypatch.setattr(absieve.runner, "journal_entry", slow_entry)
+        with pytest.raises(RuntimeError, match="worker crashed"):
+            run_screening(
+                MANIFEST, {"D": make_records(4)}, FailsLast(), fast_config(max_in_flight=4), tmp_path
+            )
+        assert sorted(journaled) == [0, 1, 2]
+        decisions = [row["decision"] for row in read_csv_rows(tmp_path / "D_results.csv")]
+        assert decisions == ["included", "included", "included", ""]
+        assert not (tmp_path / "D_results.journal.jsonl").exists()
 
     def test_journal_holds_rows_since_the_last_csv_write(self, tmp_path):
         journal = tmp_path / "D_results.journal.jsonl"
