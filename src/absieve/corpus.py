@@ -7,7 +7,8 @@ The on-disk formats are plain CSV:
   since it appears in real manifests in the wild);
 * dataset: header ``title,abstract`` with optional ``human_decision``,
   ``decision``, ``explanation`` and ``reflection`` columns;
-* results: all six columns, always written, atomically replaced;
+* results: all six columns, always written, atomically replaced, in the
+  bytes ``csv.writer`` writes by default (see :func:`csv_line`);
 * journal: ``<name>_results.journal.jsonl`` next to the results file, one
   ``{"row": ..., "decision": ...}`` JSON line per row screened since the
   results file was last written (see :func:`fold_journal`).
@@ -164,10 +165,18 @@ def clean_text(raw: str) -> str:
     and friends turn into spaces so that words separated only by them do not
     fuse; other control characters are deleted. Runs of whitespace collapse
     to one space and the result is trimmed. Idempotent by construction.
+
+    Text that is already clean costs one encode, translate and decode and a
+    scan for a double space: the collapse only runs when a double space or an
+    edge space is left to remove.
     """
     ascii_text = raw.encode("ascii", "ignore").translate(_BOUNDARIES_TO_SPACES, _DELETED_CONTROLS)
+    text = ascii_text.decode("ascii")
     # Only the space is left as whitespace, so split/join collapses and trims.
-    return " ".join(ascii_text.decode("ascii").split())
+    # The checks run on the str: on short cells they cost less than on bytes.
+    if text[:1] == " " or text[-1:] == " " or "  " in text:
+        return " ".join(text.split())
+    return text
 
 
 def header_index(header: Sequence[str], path: str | Path) -> dict[str, int]:
@@ -296,13 +305,36 @@ def load_dataset(
     return records
 
 
+def csv_line(cells: Sequence[str]) -> str:
+    """One CSV row as ``csv.writer`` writes it with the default dialect.
+
+    Cells are joined by commas and the line ends in CRLF. A cell holding a
+    comma, double quote, CR or LF is wrapped in double quotes, with inner
+    double quotes doubled; every other cell is written as it is. Rows hold at
+    least two cells: ``csv.writer`` writes a lone empty cell as ``""``.
+    """
+    return ",".join(map(_csv_cell, cells)) + "\r\n"
+
+
+def _csv_cell(text: str) -> str:
+    if '"' in text:
+        return '"' + text.replace('"', '""') + '"'
+    if "," in text or "\n" in text or "\r" in text:
+        return '"' + text + '"'
+    return text
+
+
 def write_results(records: Iterable[ScreeningRecord], path: str | Path) -> None:
     """Write records as a results CSV, atomically replacing ``path``.
 
     Rows are emitted in ``row_index`` order with all six columns. Missing
-    decisions and annotations become empty cells. The write goes to a
-    temporary file in the destination directory followed by a rename, so a
-    crash mid-write can never leave a truncated results file behind.
+    decisions and annotations become empty cells, and the four text cells
+    pass through :func:`clean_text`, so the file is printable ASCII. Each row
+    is encoded by :func:`csv_line` and streamed to the file line by line, so
+    the bytes equal ``csv.writer``'s and the file never sits in memory whole.
+    The write goes to a temporary file in the destination directory followed
+    by a rename, so a crash mid-write can never leave a truncated results
+    file behind.
     """
     ordered = sorted(records, key=lambda r: r.row_index)
     path = Path(path)
@@ -312,19 +344,20 @@ def write_results(records: Iterable[ScreeningRecord], path: str | Path) -> None:
         )
         try:
             with os.fdopen(fd, "w", newline="", encoding="ascii") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(RESULT_COLUMNS)
-                for record in ordered:
-                    writer.writerow(
-                        [
+                fh.write(csv_line(RESULT_COLUMNS))
+                fh.writelines(
+                    csv_line(
+                        (
                             clean_text(record.title),
                             clean_text(record.abstract),
                             record.human_decision.value if record.human_decision else "",
                             record.model_decision.value if record.model_decision else "",
                             clean_text(record.explanation or ""),
                             clean_text(record.reflection or ""),
-                        ]
+                        )
                     )
+                    for record in ordered
+                )
             os.replace(tmp_name, path)
         except BaseException:
             try:

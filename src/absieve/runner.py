@@ -423,8 +423,10 @@ def _screen_dataset(
                     since_flush = 0
     finally:
         # Done or interrupted, the CSV takes over every journaled decision.
-        write_results(records, results_path)
+        # Close the journal first: if this write fails, the journal on disk
+        # still holds every decision for `--resume` to fold.
         journal.close()
+        write_results(records, results_path)
         journal_file.unlink()
     return stats
 

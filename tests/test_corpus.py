@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import csv
+import io
 import json
 import random
 import re
@@ -23,6 +25,7 @@ from absieve.corpus import (
     UnknownDataset,
     UnparseableDecisionValue,
     clean_text,
+    csv_line,
     fold_journal,
     journal_entry,
     journal_path,
@@ -65,10 +68,42 @@ _TEXT = st.text(
     )
 )
 
+# Text that is already clean: printable-ASCII words joined by single spaces,
+# weighted toward the characters the CSV writer must quote.
+_WORD_CHARS = [chr(c) for c in range(0x21, 0x7F)] + list(',"{}') * 10
+_WORD = st.text(alphabet=st.sampled_from(_WORD_CHARS), min_size=1, max_size=10)
+_CLEAN_TEXT = st.lists(_WORD, max_size=40).map(" ".join)
+# Shorter clean cells, to keep whole tables cheap to generate.
+_CLEAN_CELL = st.lists(_WORD, max_size=6).map(" ".join)
+_NONEMPTY_CLEAN_CELL = st.lists(_WORD, min_size=1, max_size=6).map(" ".join)
+# One defect away from clean, so both clean_text paths are exercised.
+_DEFECTS = st.one_of(
+    st.sampled_from(["  ", "\t", "\x7f"]),
+    st.characters(min_codepoint=0x80, exclude_categories=()),
+)
+
+
+@st.composite
+def _near_clean_text(draw) -> str:
+    text = draw(_CLEAN_TEXT)
+    defect = draw(st.sampled_from(["none", "leading space", "trailing space", "inserted"]))
+    if defect == "leading space":
+        return " " + text
+    if defect == "trailing space":
+        return text + " "
+    if defect == "inserted":
+        pos = draw(st.integers(0, len(text)))
+        return text[:pos] + draw(_DEFECTS) + text[pos:]
+    return text
+
 
 class TestCleanText:
     @given(_TEXT)
     def test_matches_reference_loop(self, s):
+        assert clean_text(s) == reference_clean_text(s)
+
+    @given(_near_clean_text())
+    def test_near_clean_text_matches_reference_loop(self, s):
         assert clean_text(s) == reference_clean_text(s)
 
     def test_lone_surrogates_deleted(self):
@@ -245,6 +280,28 @@ def _random_record(rng: random.Random, index: int) -> ScreeningRecord:
     )
 
 
+def _written_record(titles: st.SearchStrategy[str]) -> st.SearchStrategy[ScreeningRecord]:
+    """A record for ``write_results``; ``row_index`` is set by :func:`_indexed`."""
+    decisions = st.none() | st.sampled_from(Decision)
+    annotations = st.none() | _NONEMPTY_CLEAN_CELL
+    return st.builds(
+        ScreeningRecord,
+        row_index=st.just(0),
+        title=titles,
+        abstract=_CLEAN_CELL,
+        human_decision=decisions,
+        model_decision=decisions,
+        explanation=annotations,
+        reflection=annotations,
+    )
+
+
+def _indexed(records: list[ScreeningRecord]) -> list[ScreeningRecord]:
+    for i, record in enumerate(records):
+        record.row_index = i
+    return records
+
+
 class TestWriteResults:
     def test_decision_serialized_lowercase(self, tmp_path):
         record = ScreeningRecord(0, "t", "a", model_decision=Decision.EXCLUDED)
@@ -307,6 +364,49 @@ class TestWriteResults:
         assert len(rows) == 1
         assert rows[0]["title"] == "new"
         assert not list(tmp_path.glob("*.tmp"))
+
+    @given(st.lists(_written_record(st.one_of(_CLEAN_CELL, _TEXT)), max_size=5), st.randoms())
+    def test_bytes_match_csv_writer(self, tmp_path_factory, records, rng):
+        ordered = _indexed(records)
+        shuffled = ordered[:]
+        rng.shuffle(shuffled)
+        path = tmp_path_factory.mktemp("w") / "out.csv"
+        write_results(shuffled, path)
+
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["title", "abstract", "human_decision", "decision", "explanation", "reflection"])
+        for r in ordered:
+            writer.writerow(
+                [
+                    clean_text(r.title),
+                    clean_text(r.abstract),
+                    r.human_decision.value if r.human_decision else "",
+                    r.model_decision.value if r.model_decision else "",
+                    clean_text(r.explanation or ""),
+                    clean_text(r.reflection or ""),
+                ]
+            )
+        assert path.read_bytes() == expected.getvalue().encode("ascii")
+
+    @given(st.lists(_written_record(_NONEMPTY_CLEAN_CELL), max_size=5))
+    def test_round_trip_is_identity_on_clean_text(self, tmp_path_factory, records):
+        records = _indexed(records)
+        path = tmp_path_factory.mktemp("w") / "out.csv"
+        write_results(records, path)
+        assert load_dataset(path, "IVM", MANIFEST) == records
+
+
+class TestCsvLine:
+    @given(st.lists(st.text(alphabet=st.sampled_from('ab ,"{}\r\n\t'), max_size=8), min_size=2, max_size=7))
+    def test_matches_csv_writer_on_raw_cells(self, cells):
+        expected = io.StringIO(newline="")
+        csv.writer(expected).writerow(cells)
+        assert csv_line(cells) == expected.getvalue()
+
+    def test_quotes_only_cells_that_need_it(self):
+        cells = ["plain", "a,b", 'say "hi"', "{x}", "", "two\r\nlines"]
+        assert csv_line(cells) == 'plain,"a,b","say ""hi""",{x},,"two\r\nlines"\r\n'
 
 
 def _decided(n: int) -> list[ScreeningRecord]:

@@ -11,9 +11,11 @@ import pytest
 from absieve.corpus import (
     CriteriaSet,
     Decision,
+    IoFailure,
     ManifestEntry,
     ScreeningManifest,
     ScreeningRecord,
+    fold_journal,
     load_dataset,
 )
 from absieve.llm import (
@@ -640,6 +642,38 @@ class TestCheckpointing:
             '{"row": 1, "decision": "included"}',
         }
         assert not journal.exists()
+
+    def test_failed_final_write_leaves_a_closed_full_journal(self, tmp_path, monkeypatch):
+        import absieve.runner
+
+        real_write = absieve.runner.write_results
+        writes = []
+
+        def fails_second_write(records, path):
+            writes.append(path)
+            if len(writes) == 2:
+                raise IoFailure(f"cannot write {path}: disk full")
+            real_write(records, path)
+
+        monkeypatch.setattr(absieve.runner, "write_results", fails_second_write)
+        script = {"default": "excluded", "D/3": "included", "D/17": "included"}
+        with pytest.raises(IoFailure) as held:
+            run_screening(
+                MANIFEST,
+                {"D": make_records(20)},
+                mock(script),
+                fast_config(max_in_flight=2, checkpoint_every=1000),
+                tmp_path,
+            )
+        # `held` keeps the exception, and with it the frame that opened the
+        # journal, alive: the journal must be complete without garbage collection.
+        journal = tmp_path / "D_results.journal.jsonl"
+        assert len(journal.read_text().splitlines()) == 20
+        recovered = make_records(20)
+        assert fold_journal(recovered, journal) == 20
+        assert [r.model_decision for r in recovered] == [
+            Decision.INCLUDED if i in (3, 17) else Decision.EXCLUDED for i in range(20)
+        ]
 
 
 class TestRunExplanations:
