@@ -34,7 +34,6 @@ from .corpus import (
     load_dataset,
     load_manifest,
     read_rows,
-    write_results,
 )
 from .llm import AuthMissing, HttpBackend, MockBackend, MockScript
 from .prompts import PromptKind
@@ -104,7 +103,6 @@ _SETTINGS = (
     ("runner", "requests_per_minute", "--requests-per-minute", "Override runner.requests_per_minute."),
     ("runner", "max_retries", "--max-retries", "Override runner.max_retries."),
     ("runner", "backoff_base_s", "--backoff-base", "Override runner.backoff_base_s (seconds)."),
-    ("runner", "checkpoint_every", "--checkpoint-every", "Override runner.checkpoint_every."),
     ("runner", "price_per_1k_input", "--price-per-1k-input", "Override runner.price_per_1k_input (USD)."),
     ("runner", "price_per_1k_output", "--price-per-1k-output", "Override runner.price_per_1k_output (USD)."),
 )
@@ -178,7 +176,11 @@ def load_app_config(path: Path, overrides: dict[str, str | None]) -> AppConfig:
 
 def _make_backend(config: AppConfig):
     if config.mock_script is not None:
-        return MockBackend(MockScript.from_file(config.mock_script))
+        try:
+            script = MockScript.from_file(config.mock_script)
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise CliFailure(f"backend.mock_script {config.mock_script}: not a mock script: {exc!r}")
+        return MockBackend(script)
     return HttpBackend(config.base_url, api_key_env=config.credential_env)
 
 
@@ -296,6 +298,8 @@ def _run_explain(
     config = _split_config_kwargs(kwargs)
     manifest = _load_manifest(config)
     _dataset_names(manifest, dataset)
+    if sample is not None and sample < 0:
+        raise CliFailure(f"--sample must be >= 0, got {sample}")
     results_path = _screened_results(config, dataset)
     # With the journal of a killed screen folded in, as `screen --resume` reads it.
     records = _load_records(config, manifest, dataset, resume=True)
@@ -330,8 +334,8 @@ def _run_explain(
         mode,
         dataset,
         run_log_path=config.output_dir / RUN_LOG_NAME,
+        results=(records, results_path),
     )
-    write_results(records, results_path)
     click.echo(
         f"{dataset}: {report.annotated_count} annotated, {report.skipped_count} skipped, "
         f"{report.error_count} errors ({mode_name})"

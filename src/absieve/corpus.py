@@ -10,8 +10,8 @@ The on-disk formats are plain CSV:
 * results: all six columns, always written, atomically replaced, in the
   bytes ``csv.writer`` writes by default (see :func:`csv_line`);
 * journal: ``<name>_results.journal.jsonl`` next to the results file, one
-  ``{"row": ..., "decision": ...}`` JSON line per row screened since the
-  results file was last written (see :func:`fold_journal`).
+  ``{"row": ..., "<field>": ...}`` JSON line per row decided or annotated
+  since the results file was last written (see :func:`fold_journal`).
 
 All text passes through :func:`clean_text`, so anything we write back out is
 single-line printable ASCII regardless of the input encoding.
@@ -74,7 +74,7 @@ class IoFailure(CorpusError):
 
 
 class JournalCorrupt(CorpusError):
-    """A complete journal line that is not a decision for a row of the dataset."""
+    """A complete journal line that is not a field value for a row of the dataset."""
 
 
 class Decision(enum.Enum):
@@ -370,21 +370,23 @@ def write_results(records: Iterable[ScreeningRecord], path: str | Path) -> None:
 
 
 def journal_path(results_path: str | Path) -> Path:
-    """The screening journal that belongs to a results CSV."""
+    """The journal that belongs to a results CSV."""
     return Path(results_path).with_suffix(".journal.jsonl")
 
 
-def journal_entry(record: ScreeningRecord) -> str:
-    """One journal line: the record's row index and model decision."""
-    return json.dumps({"row": record.row_index, "decision": record.model_decision.value}) + "\n"
+def journal_entry(record: ScreeningRecord, field: str = "decision") -> str:
+    """One journal line: the record's row index and the value of one field."""
+    value = record.model_decision.value if field == "decision" else getattr(record, field)
+    return json.dumps({"row": record.row_index, field: value}) + "\n"
 
 
 def fold_journal(records: Sequence[ScreeningRecord], path: str | Path) -> int:
-    """Apply the decisions in a screening journal to ``records`` in place.
+    """Apply the field values in a journal to ``records`` in place.
 
-    Each complete line sets one row's ``model_decision``. A last line without
-    its newline was torn by a crash mid-append and is ignored. A missing
-    journal folds nothing. Returns the number of lines applied.
+    Each complete line sets one field of one row: ``model_decision`` from a
+    ``decision``, or the ``explanation`` or ``reflection`` text. A last line
+    without its newline was torn by a crash mid-append and is ignored. A
+    missing journal folds nothing. Returns the number of lines applied.
     """
     try:
         data = Path(path).read_bytes()
@@ -397,10 +399,15 @@ def fold_journal(records: Sequence[ScreeningRecord], path: str | Path) -> int:
     for n, line in enumerate(lines, start=1):
         try:
             entry = json.loads(line)
-            row, decision = entry["row"], Decision(entry["decision"])
-        except (ValueError, KeyError, TypeError):
+            row = entry.pop("row")
+            ((field, value),) = entry.items()
+            if field == "decision":
+                field, value = "model_decision", Decision(value)
+            elif field not in ("explanation", "reflection") or type(value) is not str:
+                raise ValueError(field)
+        except (ValueError, KeyError, TypeError, AttributeError):
             raise JournalCorrupt(f"{path} line {n}: not a journal entry: {line[:80]!r}") from None
         if type(row) is not int or row not in by_row:
             raise JournalCorrupt(f"{path} line {n}: row {row!r} is not in the dataset")
-        by_row[row].model_decision = decision
+        setattr(by_row[row], field, value)
     return len(lines)

@@ -16,27 +16,26 @@ shared iterator and hand replies back through one completion queue. At most
 reply back costs the same however many calls are pending, so the cost per
 row stays flat as a dataset grows.
 
-Checkpoints are a results CSV plus an append-only journal. The CSV, where a
-non-empty ``decision`` cell means the row is done, is written in full (an
-atomic replace) when a dataset starts, when it ends, and when the run is
-interrupted. In between, each completed row appends one line to the
-dataset's journal, so persisting a row costs the same at any dataset size.
-``--resume`` folds a journal left by a killed run into the loaded CSV.
-Interrupt the process at any point and a resumed run converges on the same
-final file.
+They also share one writer, ``_journaled``: a results CSV, written in full
+(an atomic replace) before a fresh journal starts if it lacks the records,
+and when a run ends, done or interrupted; in between, an append-only journal
+gets one line per finished row, so persisting a row costs the same at any
+dataset size. The next run that reads the CSV folds in a journal left by a
+killed run, so after an interrupt anywhere a rerun reaches the same file.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import queue
 import random
 import threading
 import time
-from contextlib import closing
+from contextlib import closing, contextmanager, nullcontext
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Protocol, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Protocol, Sequence, TextIO
 
 from .corpus import (
     DECIDED,
@@ -89,25 +88,21 @@ class RunConfig:
     requests_per_minute: int = 60
     max_retries: int = 5
     backoff_base_s: float = 1.0
-    checkpoint_every: int = 1
     price_per_1k_input: float = 0.0015
     price_per_1k_output: float = 0.002
 
     def validate(self) -> None:
         if not self.model:
             raise ConfigInvalid("model must be non-empty")
-        if self.temperature < 0:
-            raise ConfigInvalid("temperature must be >= 0")
-        for name in ("max_in_flight", "requests_per_minute", "checkpoint_every"):
+        for name in ("max_in_flight", "requests_per_minute"):
             if getattr(self, name) < 1:
                 raise ConfigInvalid(f"{name} must be a positive integer")
         if self.max_retries < 0:
             raise ConfigInvalid("max_retries must be >= 0")
-        if self.backoff_base_s < 0:
-            raise ConfigInvalid("backoff_base_s must be >= 0")
-        for name in ("price_per_1k_input", "price_per_1k_output"):
-            if getattr(self, name) < 0:
-                raise ConfigInvalid(f"{name} must be >= 0")
+        for name in ("temperature", "backoff_base_s", "price_per_1k_input", "price_per_1k_output"):
+            # NaN fails every comparison, so this also rejects it.
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ConfigInvalid(f"{name} must be a finite number >= 0")
 
     def cost(self, input_tokens: int, output_tokens: int) -> float:
         """USD for the given token counts at this config's per-1k prices."""
@@ -368,6 +363,27 @@ def _decided(text: str) -> tuple[Decision, bool]:
     return decision, decision in DECIDED
 
 
+@contextmanager
+def _journaled(records: Sequence[ScreeningRecord], path: Path, rewrite: bool) -> Iterator[TextIO]:
+    """Yield a fresh journal for finished rows; then write ``records`` to the CSV at ``path``.
+
+    A fresh journal may only start while the CSV holds ``records``: pass
+    ``rewrite`` when it does not. Each journal line reaches the file as it is
+    written. The journal is closed before the final write, so if that fails
+    the journal on disk still holds every finished row for the next run.
+    """
+    if rewrite:
+        write_results(records, path)
+    journal_file = journal_path(path)
+    journal = open(journal_file, "w", encoding="ascii", buffering=1)
+    try:
+        yield journal
+    finally:
+        journal.close()
+        write_results(records, path)
+        journal_file.unlink()
+
+
 def _screen_dataset(
     name: str,
     records: list[ScreeningRecord],
@@ -383,7 +399,6 @@ def _screen_dataset(
     stats.empty_abstract_count = sum(1 for r in records if not r.abstract)
     pending = [r for r in records if r.model_decision is None]
     stats.rows_skipped_resume = len(records) - len(pending)
-    since_flush = 0
 
     def screen(record: ScreeningRecord) -> _Reply:
         request = CompletionRequest(
@@ -396,38 +411,24 @@ def _screen_dataset(
         )
         return _call(request, backend, config, limiter, log, accept=_decided)
 
-    write_results(records, results_path)
-    # The CSV just written holds every decision so far, so any older journal is stale.
-    journal_file = journal_path(results_path)
-    journal = open(journal_file, "w", encoding="ascii")
-    try:
-        with closing(_dispatch(config, pending, screen)) as replies:
-            for record, reply in replies:
-                decision = Decision.ERROR if reply.value is None else reply.value
-                record.model_decision = decision
-                stats.rows_screened += 1
-                if decision is Decision.INCLUDED:
-                    stats.included_count += 1
-                elif decision is Decision.EXCLUDED:
-                    stats.excluded_count += 1
-                elif decision is Decision.UNPARSEABLE:
-                    stats.unparseable_count += 1
-                else:
-                    stats.error_count += 1
-                report.input_tokens += reply.input_tokens
-                report.output_tokens += reply.output_tokens
-                journal.write(journal_entry(record))
-                since_flush += 1
-                if since_flush >= config.checkpoint_every:
-                    journal.flush()
-                    since_flush = 0
-    finally:
-        # Done or interrupted, the CSV takes over every journaled decision.
-        # Close the journal first: if this write fails, the journal on disk
-        # still holds every decision for `--resume` to fold.
-        journal.close()
-        write_results(records, results_path)
-        journal_file.unlink()
+    # The records may come from the dataset file: write the CSV before a fresh journal.
+    replies = _dispatch(config, pending, screen)
+    with _journaled(records, results_path, rewrite=True) as journal, closing(replies):
+        for record, reply in replies:
+            decision = Decision.ERROR if reply.value is None else reply.value
+            record.model_decision = decision
+            stats.rows_screened += 1
+            if decision is Decision.INCLUDED:
+                stats.included_count += 1
+            elif decision is Decision.EXCLUDED:
+                stats.excluded_count += 1
+            elif decision is Decision.UNPARSEABLE:
+                stats.unparseable_count += 1
+            else:
+                stats.error_count += 1
+            report.input_tokens += reply.input_tokens
+            report.output_tokens += reply.output_tokens
+            journal.write(journal_entry(record))
     return stats
 
 
@@ -445,9 +446,9 @@ def run_screening(
     resume contract). Results land in ``output_dir/<name>_results.csv``,
     written in full when a dataset starts, when it ends and when the run is
     interrupted. Each completed row in between appends a line to
-    ``<name>_results.journal.jsonl``, flushed after every
-    ``checkpoint_every`` completions, so at most that many finished rows can
-    be lost to a crash; the journal is removed once the CSV holds its rows.
+    ``<name>_results.journal.jsonl`` that reaches the file as it is written,
+    so a crash loses no finished row; the journal is removed once the CSV
+    holds its rows.
     Output row order is input row order regardless of completion order.
     """
     config.validate()
@@ -507,6 +508,7 @@ def run_explanations(
     mode: PromptKind,
     dataset_name: str,
     run_log_path: str | Path | None = None,
+    results: tuple[Sequence[ScreeningRecord], Path] | None = None,
 ) -> ExplainReport:
     """Fill ``explanation`` or ``reflection`` on the given records in place.
 
@@ -515,6 +517,10 @@ def run_explanations(
     are skipped and counted, never an error. Calls go through the same rate
     limit, retries and backoff as screening; any reply is accepted, so there
     is no re-ask.
+
+    ``results`` is ``(table, path)``: the dataset the records belong to, read
+    from the results CSV at ``path`` with any leftover journal folded in, for
+    :func:`_journaled` to persist each annotation as screening persists rows.
     """
     if mode not in (PromptKind.EXPLAIN, PromptKind.REFLECT):
         raise ValueError(f"mode must be EXPLAIN or REFLECT, got {mode}")
@@ -524,10 +530,12 @@ def run_explanations(
 
     eligible = [r for r in records if eligible_for(mode, r)]
     report.skipped_count = len(records) - len(eligible)
-    if not eligible:
-        return report
-
     build = build_explain_prompt if mode is PromptKind.EXPLAIN else build_reflect_prompt
+    column = "explanation" if mode is PromptKind.EXPLAIN else "reflection"
+    journaled = nullcontext()
+    if results is not None:
+        # A journal left next to the CSV holds rows the CSV lacks.
+        journaled = _journaled(*results, rewrite=journal_path(results[1]).exists())
 
     def annotate(record: ScreeningRecord) -> _Reply:
         request = CompletionRequest(
@@ -540,18 +548,18 @@ def run_explanations(
         )
         return _call(request, backend, config, limiter, log)
 
-    with _RunLog(run_log_path) as log, closing(_dispatch(config, eligible, annotate)) as replies:
+    replies = _dispatch(config, eligible, annotate)
+    with _RunLog(run_log_path) as log, journaled as journal, closing(replies):
         for record, reply in replies:
             report.input_tokens += reply.input_tokens
             report.output_tokens += reply.output_tokens
             if reply.value is None:
                 report.error_count += 1
                 continue
-            if mode is PromptKind.EXPLAIN:
-                record.explanation = reply.value
-            else:
-                record.reflection = reply.value
+            setattr(record, column, reply.value)
             report.annotated_count += 1
+            if journal is not None:
+                journal.write(journal_entry(record, column))
     return report
 
 

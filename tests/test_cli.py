@@ -313,7 +313,166 @@ class TestJournal:
             ).read_bytes()
 
 
+# Human decisions alternate I,E; the model excludes all but rows 3 and 10, so
+# every row can be explained and rows 0, 2, 3, 4, 6 and 8 reflected on.
+ANNOTATE_ROWS = [
+    {"title": f"t{i}", "abstract": f"a{i}", "human_decision": "excluded" if i % 2 else "included"}
+    for i in range(12)
+]
+ANNOTATE_SCREEN = {"IVM/3": "included", "IVM/10": "included"}
+ANNOTATE_REPLIES = {f"IVM/{i}": f'row {i}: "because", {{it}}\r\nsaid caf\u00e9' for i in range(12)}
+
+
+def _slow_child(config: Path, journal: Path, lines: int, *args: str) -> subprocess.Popen:
+    """Start ``absieve <args>`` with slowed completions; return once ``journal`` holds ``lines`` lines."""
+    src = str(Path(absieve.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.Popen(
+        [sys.executable, "-c", SLOW_SCREEN_CHILD, "0.05", *args, "--config", str(config)],
+        env=env,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while _journal_lines(journal) < lines:
+            assert child.poll() is None, f"{args[0]} exited before its journal reached {lines} lines"
+            assert time.monotonic() < deadline, "journal never reached the stop point"
+            time.sleep(0.005)
+    except BaseException:
+        child.kill()
+        child.wait()
+        raise
+    return child
+
+
+class TestAnnotationJournal:
+    def _screened(self, workspace: Path, command: str) -> tuple[Path, list[str]]:
+        """A screened workspace; returns its config and the arguments of ``command``."""
+        workspace.mkdir()
+        config = make_workspace(
+            workspace,
+            datasets={"IVM": ANNOTATE_ROWS},
+            script=dict(ANNOTATE_SCREEN),
+            runner_options={"max_in_flight": 1},
+        )
+        assert invoke(config, "screen").exit_code == 0
+        replies = write_mock_script(workspace / "replies.json", ANNOTATE_REPLIES)
+        return config, [command, "--dataset", "IVM", "--mock-script", str(replies)]
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="needs SIGKILL")
+    @pytest.mark.parametrize("kill_after", [1, 3])
+    @pytest.mark.parametrize("command", ["explain", "reflect"])
+    def test_sigkill_then_rerun_matches_uninterrupted(self, tmp_path, command, kill_after):
+        straight, args = self._screened(tmp_path / "straight", command)
+        assert invoke(straight, *args).exit_code == 0
+        config, args = self._screened(tmp_path / "stopped", command)
+        out = tmp_path / "stopped" / "out"
+        journal = out / "IVM_results.journal.jsonl"
+        child = _slow_child(config, journal, kill_after, *args)
+        try:
+            child.send_signal(signal.SIGKILL)
+        finally:
+            child.kill()
+            child.wait()
+        assert child.returncode == -signal.SIGKILL
+
+        # Every journaled annotation survives the kill; the CSV itself holds none yet.
+        column = "explanation" if command == "explain" else "reflection"
+        manifest = ScreeningManifest((ManifestEntry("IVM", CriteriaSet("i", "e")),))
+        records = load_dataset(out / "IVM_results.csv", "IVM", manifest)
+        assert not any(getattr(r, column) for r in records)
+        assert fold_journal(records, journal) >= kill_after
+        assert sum(1 for r in records if getattr(r, column)) >= kill_after
+
+        result = invoke(config, *args)
+        assert result.exit_code == 0, result.output
+        assert (out / "IVM_results.csv").read_bytes() == (
+            tmp_path / "straight" / "out" / "IVM_results.csv"
+        ).read_bytes()
+        assert not list(out.glob("*.journal.jsonl"))
+
+    @pytest.mark.skipif(os.name != "posix", reason="needs POSIX signals")
+    @pytest.mark.parametrize("command", ["explain", "reflect"])
+    def test_sigint_writes_finished_annotations(self, tmp_path, command):
+        straight, args = self._screened(tmp_path / "straight", command)
+        assert invoke(straight, *args).exit_code == 0
+        config, args = self._screened(tmp_path / "stopped", command)
+        out = tmp_path / "stopped" / "out"
+        child = _slow_child(config, out / "IVM_results.journal.jsonl", 2, *args)
+        try:
+            child.send_signal(signal.SIGINT)
+            child.wait(timeout=30)
+        finally:
+            child.kill()
+            child.wait()
+        assert child.returncode == 1  # click's "Aborted!"
+
+        column = "explanation" if command == "explain" else "reflection"
+        assert sum(1 for row in read_csv_rows(out / "IVM_results.csv") if row[column]) >= 2
+        assert not list(out.glob("*.journal.jsonl"))
+        assert invoke(config, *args).exit_code == 0
+        assert (out / "IVM_results.csv").read_bytes() == (
+            tmp_path / "straight" / "out" / "IVM_results.csv"
+        ).read_bytes()
+
+
+@pytest.fixture
+def results_writes(monkeypatch) -> list[Path]:
+    """The path of every results CSV written from here on."""
+    import absieve.runner
+
+    writes = []
+    real_write = absieve.runner.write_results
+
+    def counting_write(records, path):
+        writes.append(path)
+        real_write(records, path)
+
+    monkeypatch.setattr(absieve.runner, "write_results", counting_write)
+    return writes
+
+
+class TestResultsWrites:
+    def test_screen_writes_each_results_file_twice(self, tmp_path, results_writes):
+        config = make_workspace(tmp_path, datasets={"IVM": DEFAULT_ROWS, "OTHER": DEFAULT_ROWS})
+        assert invoke(config, "screen").exit_code == 0
+        out = tmp_path / "out"
+        assert results_writes == [out / "IVM_results.csv"] * 2 + [out / "OTHER_results.csv"] * 2
+
+    @pytest.mark.parametrize("command", ["explain", "reflect"])
+    def test_annotation_writes_results_once(self, tmp_path, results_writes, command):
+        config = make_workspace(tmp_path)
+        assert invoke(config, "screen").exit_code == 0
+        results_writes.clear()
+        assert invoke(config, command, "--dataset", "IVM").exit_code == 0
+        assert results_writes == [tmp_path / "out" / "IVM_results.csv"]
+
+    @pytest.mark.parametrize("command", ["explain", "reflect"])
+    def test_leftover_journal_is_written_into_the_csv_first(self, tmp_path, results_writes, command):
+        config = make_workspace(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        write_dataset(out / "IVM_results.csv", DEFAULT_ROWS)
+        decisions = ["included", "excluded", "included", "excluded"]
+        (out / "IVM_results.journal.jsonl").write_text(
+            "".join(f'{{"row": {i}, "decision": "{d}"}}\n' for i, d in enumerate(decisions))
+        )
+        assert invoke(config, command, "--dataset", "IVM").exit_code == 0
+        assert results_writes == [out / "IVM_results.csv"] * 2
+        assert [r["decision"] for r in read_csv_rows(out / "IVM_results.csv")] == decisions
+        assert not (out / "IVM_results.journal.jsonl").exists()
+
+
 class TestExplainReflect:
+    @pytest.mark.parametrize("command", ["explain", "reflect"])
+    def test_negative_sample_exits_two(self, tmp_path, command):
+        config = make_workspace(tmp_path)
+        assert invoke(config, "screen").exit_code == 0
+        result = invoke(config, command, "--dataset", "IVM", "--sample", "-1")
+        assert result.exit_code == 2
+        assert "--sample" in result.output
+
     def test_reflect_fills_both_disagreements(self, tmp_path):
         config = make_workspace(tmp_path)
         assert invoke(config, "screen").exit_code == 0
@@ -675,6 +834,41 @@ class TestConfigHandling:
         assert result.exit_code == 2
         assert "manifest" in result.output
 
+    @pytest.mark.parametrize(
+        "command,flag,field",
+        [
+            ("screen", "--temperature", "temperature"),
+            ("screen", "--backoff-base", "backoff_base_s"),
+            ("estimate-cost", "--price-per-1k-input", "price_per_1k_input"),
+        ],
+    )
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_value_exits_two(self, tmp_path, command, flag, field, value):
+        config = make_workspace(tmp_path)
+        result = invoke(config, command, flag, value)
+        assert result.exit_code == 2
+        assert field in result.output
+
+    @pytest.mark.parametrize(
+        "script",
+        ["{not json", '{"IVM-0": "included"}', '{"failures": {"IVM/0": {"count": 1}}}'],
+        ids=["invalid-json", "bad-key", "failure-without-status"],
+    )
+    def test_malformed_mock_script_exits_two(self, tmp_path, script):
+        config = make_workspace(tmp_path)
+        (tmp_path / "mock_script.json").write_text(script)
+        result = invoke(config, "screen")
+        assert result.exit_code == 2
+        assert "backend.mock_script" in result.output
+
+    @pytest.mark.parametrize("value", ["1", "often"])
+    def test_ini_checkpoint_every_is_ignored(self, tmp_path, value):
+        config = make_workspace(tmp_path, runner_options={"checkpoint_every": value})
+        result = invoke(config, "screen")
+        assert result.exit_code == 0, result.output
+        rows = read_csv_rows(tmp_path / "out" / "IVM_results.csv")
+        assert [r["decision"] for r in rows] == ["included", "excluded", "included", "excluded"]
+
     def test_invalid_runner_value_exits_two(self, tmp_path):
         config = make_workspace(tmp_path, runner_options={"max_in_flight": 0})
         result = invoke(config, "screen")
@@ -712,7 +906,6 @@ SETTINGS = [
     ("runner", "requests_per_minute", "--requests-per-minute", "Override runner.requests_per_minute."),
     ("runner", "max_retries", "--max-retries", "Override runner.max_retries."),
     ("runner", "backoff_base_s", "--backoff-base", "Override runner.backoff_base_s (seconds)."),
-    ("runner", "checkpoint_every", "--checkpoint-every", "Override runner.checkpoint_every."),
     ("runner", "price_per_1k_input", "--price-per-1k-input", "Override runner.price_per_1k_input (USD)."),
     ("runner", "price_per_1k_output", "--price-per-1k-output", "Override runner.price_per_1k_output (USD)."),
 ]
@@ -735,7 +928,6 @@ SAMPLES = {
     "requests_per_minute": ("30", "90"),
     "max_retries": ("0", "9"),
     "backoff_base_s": ("2", "0.25"),
-    "checkpoint_every": ("5", "50"),
     "price_per_1k_input": ("1", "0.125"),
     "price_per_1k_output": ("3", "0.375"),
 }
@@ -751,7 +943,6 @@ BAD_VALUES = {
     "requests_per_minute": "fast",
     "max_retries": "two",
     "backoff_base_s": "1s",
-    "checkpoint_every": "often",
     "price_per_1k_input": "cheap",
     "price_per_1k_output": "$1",
 }

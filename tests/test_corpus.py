@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import random
@@ -421,6 +422,33 @@ class TestJournal:
         record = ScreeningRecord(3, "t", model_decision=Decision.UNPARSEABLE)
         assert journal_entry(record) == '{"row": 3, "decision": "unparseable"}\n'
 
+    def test_annotation_entry_format(self):
+        record = ScreeningRecord(3, "t", explanation='say "hi",\ncaf\u00e9')
+        assert journal_entry(record, "explanation") == '{"row": 3, "explanation": "say \\"hi\\",\\ncaf\\u00e9"}\n'
+
+    def test_each_line_sets_its_own_field(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        written = ScreeningRecord(1, "t1", model_decision=Decision.INCLUDED, explanation="why", reflection="")
+        path.write_text("".join(journal_entry(written, f) for f in ("decision", "explanation", "reflection")))
+        records = [ScreeningRecord(i, f"t{i}") for i in range(2)]
+        assert fold_journal(records, path) == 3
+        assert records == [ScreeningRecord(0, "t0"), dataclasses.replace(written, title="t1")]
+
+    @given(
+        st.sampled_from(["explanation", "reflection"]),
+        st.text(alphabet=st.one_of(st.sampled_from(',"{}\r\n\\ '), st.characters(exclude_categories=()))),
+    )
+    def test_journaled_annotation_writes_like_a_direct_one(self, tmp_path_factory, column, text):
+        base = ScreeningRecord(0, "t", "a", Decision.INCLUDED, Decision.EXCLUDED, "old", "old")
+        direct = dataclasses.replace(base, **{column: text})
+        folded = dataclasses.replace(base)
+        work = tmp_path_factory.mktemp("j")
+        (work / "j.jsonl").write_text(journal_entry(direct, column), encoding="ascii")
+        assert fold_journal([folded], work / "j.jsonl") == 1
+        write_results([direct], work / "direct.csv")
+        write_results([folded], work / "folded.csv")
+        assert (work / "folded.csv").read_bytes() == (work / "direct.csv").read_bytes()
+
     def test_entries_fold_back_into_records(self, tmp_path):
         path = tmp_path / "j.jsonl"
         written = _decided(3)
@@ -464,7 +492,19 @@ class TestJournal:
         assert "line 1" in str(exc.value)
 
     @pytest.mark.parametrize(
-        "line", ["not json", "[0]", '{"row": 0}', '{"row": 0, "decision": "maybe"}']
+        "line",
+        [
+            "not json",
+            "[0]",
+            '{"row": 0}',
+            '{"row": 0, "decision": "maybe"}',
+            "0",
+            '{"row": 0, "verdict": "included"}',
+            '{"row": 0, "model_decision": "included"}',
+            '{"row": 0, "explanation": 5}',
+            '{"row": 0, "reflection": null}',
+            '{"row": 0, "decision": "included", "explanation": "why"}',
+        ],
     )
     def test_malformed_complete_line_raises(self, tmp_path, line):
         path = tmp_path / "j.jsonl"

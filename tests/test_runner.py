@@ -810,12 +810,18 @@ class TestRunConfig:
         [
             ("max_in_flight", 0),
             ("requests_per_minute", 0),
-            ("checkpoint_every", 0),
             ("max_retries", -1),
             ("backoff_base_s", -0.5),
             ("temperature", -1.0),
             ("price_per_1k_input", -0.1),
             ("model", ""),
+            ("temperature", float("nan")),
+            ("temperature", float("inf")),
+            ("backoff_base_s", float("nan")),
+            ("backoff_base_s", float("inf")),
+            ("price_per_1k_input", float("nan")),
+            ("price_per_1k_output", float("inf")),
+            ("price_per_1k_output", float("-inf")),
         ],
     )
     def test_invalid_values_rejected_by_name(self, field, value):
