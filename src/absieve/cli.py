@@ -15,6 +15,7 @@ import csv
 import json
 import random
 import sys
+from contextlib import closing
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -23,6 +24,7 @@ import click
 from . import __version__
 from . import metrics as metrics_mod
 from .corpus import (
+    DECISION_CELLS,
     CorpusError,
     Decision,
     ScreeningManifest,
@@ -163,6 +165,7 @@ def load_app_config(path: Path, overrides: dict[str, str | None]) -> AppConfig:
         if not mock_path.exists():
             raise CliFailure(f"backend.mock_script does not exist: {mock_path}")
 
+    run.validate()
     return AppConfig(
         base_url=values["base_url"],
         mock_script=mock_path,
@@ -375,30 +378,41 @@ def reflect(dataset: str, sample: int | None, rows: str | None, seed: int, **kwa
 def _decision_columns(
     path: Path, truth_column: str, pred_column: str
 ) -> tuple[list[Decision | None], list[Decision | None]]:
-    """Read two named decision columns from a results CSV.
+    """Read two named decision columns from a results CSV, in one pass.
 
     The file is read as :func:`load_dataset` reads it: header names match
-    case-insensitively and the first of duplicate names wins. Cells that are
-    empty or not a known decision token count as missing, which drops the
-    row from the comparison (and shows up in the ``dropped`` tally).
+    case-insensitively and the first of duplicate names wins. Both columns
+    are found in the header before any row is read (the truth column is
+    checked first). Cells that are empty or not a known decision token count
+    as missing, which drops the row from the comparison (and shows up in the
+    ``dropped`` tally). Only the two decisions of each row are kept.
     """
     header, rows = read_rows(path)
-    index = header_index(header, path)
+    with closing(rows):
+        index = header_index(header, path)
+        positions = []
+        for name in (truth_column, pred_column):
+            pos = index.get(clean_text(name).lower())
+            if pos is None:
+                raise CliFailure(f"{path}: missing column {name!r}")
+            positions.append(pos)
+        truth_pos, pred_pos = positions
 
-    def column(name: str) -> list[Decision | None]:
-        pos = index.get(clean_text(name).lower())
-        if pos is None:
-            raise CliFailure(f"{path}: missing column {name!r}")
-        values: list[Decision | None] = []
+        truth: list[Decision | None] = []
+        pred: list[Decision | None] = []
         for row in rows:
-            cell = clean_text(row[pos]).lower() if pos < len(row) else ""
-            try:
-                values.append(Decision(cell) if cell else None)
-            except ValueError:
-                values.append(None)
-        return values
+            width = len(row)
+            truth.append(_decision_or_none(row[truth_pos]) if truth_pos < width else None)
+            pred.append(_decision_or_none(row[pred_pos]) if pred_pos < width else None)
+    return truth, pred
 
-    return column(truth_column), column(pred_column)
+
+def _decision_or_none(cell: str) -> Decision | None:
+    # A cell as write_results writes it needs no cleaning; any other spelling
+    # is cleaned and lowercased, and a token that is no decision is missing.
+    if cell in DECISION_CELLS:
+        return DECISION_CELLS[cell]
+    return DECISION_CELLS.get(clean_text(cell).lower())
 
 
 def _format_ratio(value: float | None) -> str:

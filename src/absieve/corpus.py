@@ -13,6 +13,12 @@ The on-disk formats are plain CSV:
   ``{"row": ..., "<field>": ...}`` JSON line per row decided or annotated
   since the results file was last written (see :func:`fold_journal`).
 
+Every CSV is read through :func:`read_rows`, which streams the data rows one
+at a time: a reader keeps only what it extracts, so its memory does not
+depend on the file's size. Input must be UTF-8 (a BOM is allowed); a file that
+is not, or that the csv module cannot parse, raises :class:`MalformedCsv`
+naming its path and line.
+
 All text passes through :func:`clean_text`, so anything we write back out is
 single-line printable ASCII regardless of the input encoding.
 """
@@ -24,9 +30,10 @@ import enum
 import json
 import os
 import tempfile
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class CorpusError(Exception):
@@ -73,6 +80,10 @@ class IoFailure(CorpusError):
     pass
 
 
+class MalformedCsv(CorpusError):
+    """A CSV file that is not UTF-8 text, or that the csv module cannot parse."""
+
+
 class JournalCorrupt(CorpusError):
     """A complete journal line that is not a field value for a row of the dataset."""
 
@@ -93,6 +104,10 @@ class Decision(enum.Enum):
 
 # The decided pair: the two real answers, as opposed to a failure to get one.
 DECIDED = (Decision.INCLUDED, Decision.EXCLUDED)
+
+# A decision cell as write_results writes it (empty when missing). Readers
+# look a cell up here first and clean only the cells they do not find.
+DECISION_CELLS: dict[str, Decision | None] = {"": None, **{d.value: d for d in Decision}}
 
 
 @dataclass(frozen=True)
@@ -198,25 +213,64 @@ def _cell(row: Sequence[str], pos: int | None) -> str:
 
 
 def _decision_from_cell(raw: str, row: int, column: str) -> Decision | None:
+    if raw in DECISION_CELLS:
+        return DECISION_CELLS[raw]
     value = clean_text(raw).lower()
-    if not value:
-        return None
-    try:
-        return Decision(value)
-    except ValueError:
-        raise UnparseableDecisionValue(raw, row, column) from None
+    if value in DECISION_CELLS:
+        return DECISION_CELLS[value]
+    raise UnparseableDecisionValue(raw, row, column)
 
 
-def read_rows(path: str | Path) -> tuple[list[str], list[list[str]]]:
-    """Read a CSV (BOM-tolerant, blank lines skipped) as its header and data rows."""
+def read_rows(path: str | Path) -> tuple[list[str], Iterator[list[str]]]:
+    """Open a CSV as its header row and a stream of its data rows.
+
+    UTF-8 with an optional BOM; blank lines are skipped. Each data row is
+    parsed when the iterator reaches it, so the file never sits in memory
+    whole. The iterator is a generator that owns the open file and closes it
+    when run out or closed; a reader that may stop early wraps it in
+    ``contextlib.closing``. :class:`IoFailure` and :class:`EmptyManifest` (no
+    rows) are raised here. :class:`MalformedCsv` names the path and line of
+    bytes that are not UTF-8, or of a row the csv module rejects (such as an
+    unterminated quote that runs past the field size limit); it is raised
+    here or while iterating.
+    """
+    rows = _stream_rows(path)
+    header = next(rows, None)
+    if header is None:
+        raise EmptyManifest(f"{path}: file is empty")
+    return header, rows
+
+
+def _stream_rows(path: str | Path) -> Iterator[list[str]]:
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            rows = [row for row in csv.reader(fh) if row]
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
-    if not rows:
-        raise EmptyManifest(f"{path}: file is empty")
-    return rows[0], rows[1:]
+    with fh:
+        reader = csv.reader(fh)
+        try:
+            for row in reader:
+                if row:
+                    yield row
+        except csv.Error as exc:
+            raise MalformedCsv(f"{path} line {reader.line_num}: not a CSV row: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            # The text layer decodes ahead of the reader, so find the line itself.
+            line = _first_undecodable_line(path)
+            raise MalformedCsv(f"{path} line {line}: not UTF-8 text ({exc.reason})") from exc
+        except OSError as exc:
+            raise IoFailure(f"cannot read {path}: {exc}") from exc
+
+
+def _first_undecodable_line(path: str | Path) -> int:
+    # Lines split as the reader's are; a byte that is not UTF-8 becomes a lone surrogate.
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        for n, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                return n
+    return 0
 
 
 def load_manifest(path: str | Path) -> ScreeningManifest:
@@ -226,36 +280,37 @@ def load_manifest(path: str | Path) -> ScreeningManifest:
     found under either its correct spelling or the known misspelled alias.
     """
     header, rows = read_rows(path)
-    index = header_index(header, path)
+    with closing(rows):
+        index = header_index(header, path)
 
-    name_pos = index.get(MANIFEST_NAME_COLUMN.lower())
-    if name_pos is None:
-        raise MissingColumn(MANIFEST_NAME_COLUMN, path)
-    incl_pos = index.get(MANIFEST_INCLUSION_COLUMN.lower())
-    if incl_pos is None:
-        raise MissingColumn(MANIFEST_INCLUSION_COLUMN, path)
-    excl_pos = index.get(MANIFEST_EXCLUSION_COLUMN.lower())
-    if excl_pos is None:
-        excl_pos = index.get(MANIFEST_EXCLUSION_ALIAS.lower())
-    if excl_pos is None:
-        raise MissingColumn(MANIFEST_EXCLUSION_COLUMN, path)
+        name_pos = index.get(MANIFEST_NAME_COLUMN.lower())
+        if name_pos is None:
+            raise MissingColumn(MANIFEST_NAME_COLUMN, path)
+        incl_pos = index.get(MANIFEST_INCLUSION_COLUMN.lower())
+        if incl_pos is None:
+            raise MissingColumn(MANIFEST_INCLUSION_COLUMN, path)
+        excl_pos = index.get(MANIFEST_EXCLUSION_COLUMN.lower())
+        if excl_pos is None:
+            excl_pos = index.get(MANIFEST_EXCLUSION_ALIAS.lower())
+        if excl_pos is None:
+            raise MissingColumn(MANIFEST_EXCLUSION_COLUMN, path)
 
-    entries: list[ManifestEntry] = []
-    seen: set[str] = set()
-    for n, row in enumerate(rows, start=1):
-        name = clean_text(_cell(row, name_pos))
-        if not name:
-            raise EmptyField(f"{path} row {n}: empty dataset name")
-        if name in seen:
-            raise DuplicateDatasetName(name)
-        seen.add(name)
-        inclusion = clean_text(_cell(row, incl_pos))
-        exclusion = clean_text(_cell(row, excl_pos))
-        if not inclusion:
-            raise EmptyField(f"{path} row {n} ({name}): empty inclusion criteria")
-        if not exclusion:
-            raise EmptyField(f"{path} row {n} ({name}): empty exclusion criteria")
-        entries.append(ManifestEntry(name, CriteriaSet(inclusion, exclusion)))
+        entries: list[ManifestEntry] = []
+        seen: set[str] = set()
+        for n, row in enumerate(rows, start=1):
+            name = clean_text(_cell(row, name_pos))
+            if not name:
+                raise EmptyField(f"{path} row {n}: empty dataset name")
+            if name in seen:
+                raise DuplicateDatasetName(name)
+            seen.add(name)
+            inclusion = clean_text(_cell(row, incl_pos))
+            exclusion = clean_text(_cell(row, excl_pos))
+            if not inclusion:
+                raise EmptyField(f"{path} row {n} ({name}): empty inclusion criteria")
+            if not exclusion:
+                raise EmptyField(f"{path} row {n} ({name}): empty exclusion criteria")
+            entries.append(ManifestEntry(name, CriteriaSet(inclusion, exclusion)))
 
     if not entries:
         raise EmptyManifest(f"{path}: manifest has a header but no datasets")
@@ -269,39 +324,41 @@ def load_dataset(
 
     ``name`` must appear in the manifest. Rows with an empty abstract are
     kept; a pre-existing ``decision`` column is parsed into
-    ``model_decision`` so a partially screened file can be resumed.
+    ``model_decision`` so a partially screened file can be resumed. Rows are
+    read in one pass and each becomes its record as it is read, so no raw row
+    outlives its turn.
     """
     if name not in manifest:
         raise UnknownDataset(name)
 
     header, rows = read_rows(path)
-    index = header_index(header, path)
-    for required in ("title", "abstract"):
-        if required not in index:
-            raise MissingColumn(required, path)
+    with closing(rows):
+        index = header_index(header, path)
+        for required in ("title", "abstract"):
+            if required not in index:
+                raise MissingColumn(required, path)
+        title_pos, abstract_pos = index["title"], index["abstract"]
+        human_pos, decision_pos = index.get("human_decision"), index.get("decision")
+        explanation_pos, reflection_pos = index.get("explanation"), index.get("reflection")
 
-    records: list[ScreeningRecord] = []
-    for n, row in enumerate(rows):
-        title = clean_text(_cell(row, index.get("title")))
-        if not title:
-            raise EmptyField(f"{path} row {n}: empty title")
-        explanation = clean_text(_cell(row, index.get("explanation")))
-        reflection = clean_text(_cell(row, index.get("reflection")))
-        records.append(
-            ScreeningRecord(
-                row_index=n,
-                title=title,
-                abstract=clean_text(_cell(row, index.get("abstract"))),
-                human_decision=_decision_from_cell(
-                    _cell(row, index.get("human_decision")), n, "human_decision"
-                ),
-                model_decision=_decision_from_cell(
-                    _cell(row, index.get("decision")), n, "decision"
-                ),
-                explanation=explanation or None,
-                reflection=reflection or None,
+        records: list[ScreeningRecord] = []
+        for n, row in enumerate(rows):
+            title = clean_text(_cell(row, title_pos))
+            if not title:
+                raise EmptyField(f"{path} row {n}: empty title")
+            explanation = clean_text(_cell(row, explanation_pos))
+            reflection = clean_text(_cell(row, reflection_pos))
+            records.append(
+                ScreeningRecord(
+                    row_index=n,
+                    title=title,
+                    abstract=clean_text(_cell(row, abstract_pos)),
+                    human_decision=_decision_from_cell(_cell(row, human_pos), n, "human_decision"),
+                    model_decision=_decision_from_cell(_cell(row, decision_pos), n, "decision"),
+                    explanation=explanation or None,
+                    reflection=reflection or None,
+                )
             )
-        )
     return records
 
 

@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import gc
 import json
+import random
+import sys
+import tracemalloc
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import absieve.corpus
 from absieve.corpus import Decision
 
 
@@ -47,6 +54,67 @@ def write_mock_script(path: Path, responses: dict[str, str], default: str = "", 
 def read_csv_rows(path: Path) -> list[dict[str, str]]:
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.DictReader(fh))
+
+
+def write_large_results(path: Path, rows: int) -> Path:
+    """A results CSV of ``rows`` seeded random rows with abstracts of about 1.6 KB."""
+    rng = random.Random(0)
+    words = ["".join(rng.choices("abcdefghijklmnopqrstuvwxyz", k=rng.randint(2, 9))) for _ in range(300)]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["title", "abstract", "human_decision", "decision", "explanation", "reflection"])
+        for i in range(rows):
+            abstract = " ".join(rng.choices(words, k=266))
+            human = rng.choice(["included", "excluded", ""])
+            decision = rng.choice(["included", "excluded", "unparseable", "error", ""])
+            writer.writerow([f"title {i}", abstract, human, decision, "", ""])
+    return path
+
+
+def traced_peak(fn):
+    """``fn()``'s result, the bytes it still holds, and its tracemalloc peak above the start."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held - base, peak - base
+
+
+@pytest.fixture
+def corpus_files(monkeypatch) -> list:
+    """Every file ``absieve.corpus`` opens while the test runs, in order."""
+    opened = []
+
+    def tracked_open(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        opened.append(fh)
+        return fh
+
+    monkeypatch.setattr(absieve.corpus, "open", tracked_open, raising=False)
+    return opened
+
+
+@contextlib.contextmanager
+def reported_unraisable():
+    """Collect what is reported as unraisable in the block and in a garbage collection after it.
+
+    ResourceWarning is an error inside, so a file that only a finalizer
+    closes is reported here on every Python, with or without ``-X dev``.
+    """
+    reported: list[str] = []
+    hook = sys.unraisablehook
+    sys.unraisablehook = lambda args: reported.append(repr(args.exc_value))
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            yield reported
+            gc.collect()
+    finally:
+        sys.unraisablehook = hook
 
 
 def brute_force_metrics(truth: list[Decision | None], pred: list[Decision | None]) -> dict:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import configparser
+import csv
+import io
 import json
 import os
 import signal
@@ -11,13 +13,31 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given
+from hypothesis import strategies as st
 
 import absieve
 from absieve import cli
 from absieve.cli import main
-from absieve.corpus import CriteriaSet, ManifestEntry, ScreeningManifest, fold_journal, load_dataset
+from absieve.corpus import (
+    CriteriaSet,
+    Decision,
+    ManifestEntry,
+    ScreeningManifest,
+    clean_text,
+    fold_journal,
+    load_dataset,
+)
 from absieve.runner import RunConfig
-from conftest import read_csv_rows, write_dataset, write_manifest, write_mock_script
+from conftest import (
+    read_csv_rows,
+    reported_unraisable,
+    traced_peak,
+    write_dataset,
+    write_large_results,
+    write_manifest,
+    write_mock_script,
+)
 
 runner = CliRunner()
 
@@ -1070,3 +1090,135 @@ class TestSettings:
         if key in RUN_DEFAULTS:
             kind = type(RUN_DEFAULTS[key]).__name__
             assert f"cannot parse {BAD_VALUES[key]!r} as {kind}" in result.output
+
+
+def oracle_decision_columns(path: Path, truth: str, pred: str) -> tuple[list, list]:
+    """The two decision columns, read with a plain csv loop."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        table = [row for row in csv.reader(fh) if row]
+    keys = [clean_text(name).lower() for name in table[0]]
+    tokens = {d.value: d for d in Decision}
+
+    def column(name: str) -> list:
+        pos = keys.index(clean_text(name).lower())  # the first of duplicates
+        cells = [row[pos] if pos < len(row) else "" for row in table[1:]]
+        return [tokens.get(clean_text(cell).lower()) for cell in cells]
+
+    return column(truth), column(pred)
+
+
+# Duplicates after cleaning and lowercasing: " decision", "DECISION", "decision".
+_HEADER_NAMES = ["title", "abstract", "human_decision", "Human_Decision", " decision", "DECISION", "decision", "note"]
+_DECISION_SPELLINGS = [
+    "included", "excluded", "unparseable", "error", "",
+    "Included", " EXCLUDED ", "\tError\r\n", "incl\x00uded", "Excluded\u00e9", "UNPARSEABLE",
+    "in cluded", "maybe", "none", "included.",
+]
+
+
+@st.composite
+def _decision_table(draw) -> tuple[list[str], list[list[str]], str, str]:
+    header = draw(st.lists(st.sampled_from(_HEADER_NAMES), min_size=1, max_size=6))
+    # A row without cells is written as a blank line; shorter rows than the header are kept short.
+    rows = draw(st.lists(st.lists(st.sampled_from(_DECISION_SPELLINGS), max_size=len(header) + 1), max_size=12))
+    return header, rows, draw(st.sampled_from(header)), draw(st.sampled_from(header))
+
+
+class TestDecisionColumns:
+    @given(_decision_table())
+    def test_matches_a_plain_csv_loop(self, tmp_path_factory, table):
+        header, rows, truth, pred = table
+        text = io.StringIO(newline="")
+        writer = csv.writer(text)
+        writer.writerow(header)
+        writer.writerows(rows)
+        path = tmp_path_factory.mktemp("d") / "IVM_results.csv"
+        path.write_text(text.getvalue(), encoding="utf-8", newline="")
+        assert cli._decision_columns(path, truth, pred) == oracle_decision_columns(path, truth, pred)
+
+    def test_spellings_blank_lines_and_one_column_twice(self, tmp_path):
+        path = tmp_path / "IVM_results.csv"
+        path.write_bytes(
+            b"title,Decision,human_decision,DECISION\r\n"
+            b"\r\n"
+            b"t0, Included ,excluded,excluded\r\n"
+            b"t1,maybe,EXCLUDED\r\n"
+            b"\r\n"
+            b"t2\r\n"
+            b"t3,error,\r\n"
+        )
+        truth, pred = cli._decision_columns(path, "decision", "decision")
+        assert truth == pred == [Decision.INCLUDED, None, None, Decision.ERROR]
+        assert cli._decision_columns(path, "human_decision", "decision")[0] == [
+            Decision.EXCLUDED, Decision.EXCLUDED, None, None
+        ]
+
+    def test_missing_truth_column_is_named_before_pred(self, tmp_path):
+        path = write_dataset(tmp_path / "IVM_results.csv", DEFAULT_ROWS)
+        with pytest.raises(cli.CliFailure, match="'gold'"):
+            cli._decision_columns(path, "gold", "guess")
+        with pytest.raises(cli.CliFailure, match="'guess'"):
+            cli._decision_columns(path, "human_decision", "guess")
+
+    def test_peak_memory_stays_under_1mb_for_a_4mb_file(self, tmp_path):
+        path = write_large_results(tmp_path / "IVM_results.csv", rows=2600)
+        assert path.stat().st_size >= 4_000_000
+        (truth, pred), _, peak = traced_peak(
+            lambda: cli._decision_columns(path, "human_decision", "decision")
+        )
+        assert len(truth) == len(pred) == 2600
+        assert peak < 1_000_000, peak
+
+    def test_a_text_column_as_pred_keeps_no_cell(self, tmp_path):
+        path = write_large_results(tmp_path / "IVM_results.csv", rows=2600)
+        (_, pred), _, peak = traced_peak(lambda: cli._decision_columns(path, "human_decision", "abstract"))
+        assert pred == [None] * 2600
+        assert peak < 1_000_000, peak
+
+    def test_missing_pred_column_closes_the_results_file(self, tmp_path, corpus_files):
+        config = make_workspace(tmp_path)
+        invoke(config, "screen")
+        corpus_files.clear()
+        with reported_unraisable() as reported:
+            result = invoke(config, "evaluate", "--dataset", "IVM", "--pred", "nonexistent")
+            assert result.exit_code == 2
+            assert "missing column 'nonexistent'" in result.output
+            # Closed while the result still holds the failure's traceback.
+            assert any(Path(fh.name).name == "IVM_results.csv" for fh in corpus_files)
+            assert all(fh.closed for fh in corpus_files)
+            corpus_files.clear()
+            del result
+        assert reported == []
+
+
+class TestMalformedCsv:
+    def test_non_utf8_dataset_exits_two_from_screen(self, tmp_path):
+        config = make_workspace(tmp_path)
+        (tmp_path / "data" / "IVM.csv").write_bytes(b"title,abstract\r\nt0,a0\r\ncaf\xe9,x\r\n")
+        result = invoke(config, "screen")
+        assert result.exit_code == 2
+        assert "IVM.csv line 3: not UTF-8 text" in result.output
+        assert "Traceback" not in result.output
+
+    def test_unterminated_quote_exits_two_from_evaluate(self, tmp_path):
+        config = make_workspace(tmp_path)
+        assert invoke(config, "screen").exit_code == 0
+        results = tmp_path / "out" / "IVM_results.csv"
+        with open(results, "a", newline="", encoding="ascii") as fh:
+            fh.write('t4,"never closed\r\n' + "x" * 140_000 + "\r\n")
+        result = invoke(config, "evaluate", "--dataset", "IVM")
+        assert result.exit_code == 2
+        assert "IVM_results.csv line 7: not a CSV row: field larger than field limit" in result.output
+        assert "Traceback" not in result.output
+
+
+class TestEvaluateValidates:
+    @pytest.mark.parametrize("flag,value", [("--temperature", "nan"), ("--max-in-flight", "0")])
+    def test_evaluate_exits_two_with_the_message_screen_gives(self, tmp_path, flag, value):
+        config = make_workspace(tmp_path)
+        assert invoke(config, "screen").exit_code == 0
+        screened = invoke(config, "screen", flag, value)
+        evaluated = invoke(config, "evaluate", "--all", flag, value)
+        assert screened.exit_code == evaluated.exit_code == 2
+        assert evaluated.output == screened.output
+        assert not (tmp_path / "out" / "metrics.json").exists()

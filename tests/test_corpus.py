@@ -18,7 +18,9 @@ from absieve.corpus import (
     DuplicateDatasetName,
     EmptyField,
     EmptyManifest,
+    IoFailure,
     JournalCorrupt,
+    MalformedCsv,
     ManifestEntry,
     MissingColumn,
     ScreeningManifest,
@@ -32,9 +34,17 @@ from absieve.corpus import (
     journal_path,
     load_dataset,
     load_manifest,
+    read_rows,
     write_results,
 )
-from conftest import read_csv_rows, write_dataset, write_manifest
+from conftest import (
+    read_csv_rows,
+    reported_unraisable,
+    traced_peak,
+    write_dataset,
+    write_large_results,
+    write_manifest,
+)
 
 MANIFEST = ScreeningManifest(
     (ManifestEntry("IVM", CriteriaSet("include trials", "exclude reviews")),)
@@ -512,3 +522,76 @@ class TestJournal:
         with pytest.raises(JournalCorrupt) as exc:
             fold_journal([ScreeningRecord(0, "t")], path)
         assert "line 2" in str(exc.value)
+
+
+class TestReadRows:
+    def test_rows_stream_after_the_header(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"\xef\xbb\xbftitle,abstract\r\n\r\nt0,a0\r\n\r\n\r\nt1,a1\r\n")
+        header, rows = read_rows(path)
+        assert header == ["title", "abstract"]
+        assert not isinstance(rows, list)
+        assert next(rows) == ["t0", "a0"]
+        assert list(rows) == [["t1", "a1"]]
+
+    def test_running_out_or_closing_the_stream_closes_the_file(self, tmp_path, corpus_files):
+        path = write_dataset(tmp_path / "d.csv", [{"title": f"t{i}", "abstract": "a"} for i in range(3)])
+        _, rows = read_rows(path)
+        assert len(list(rows)) == 3
+        _, rows = read_rows(path)
+        next(rows)
+        rows.close()
+        assert len(corpus_files) == 2
+        assert all(fh.closed for fh in corpus_files)
+
+    def test_empty_and_missing_files_raise_at_the_header(self, tmp_path, corpus_files):
+        (tmp_path / "empty.csv").write_bytes(b"\r\n\r\n")
+        with pytest.raises(EmptyManifest, match="empty"):
+            read_rows(tmp_path / "empty.csv")
+        with pytest.raises(IoFailure, match="nope.csv"):
+            read_rows(tmp_path / "nope.csv")
+        assert all(fh.closed for fh in corpus_files)
+
+    @pytest.mark.parametrize("end", [b"\r\n", b"\n", b"\r"], ids=["crlf", "lf", "cr"])
+    def test_non_utf8_bytes_name_the_path_and_line(self, tmp_path, end):
+        path = tmp_path / "d.csv"
+        path.write_bytes(end.join([b"title,abstract", b"t0,a0", b't1,"two', b'lines"', b"caf\xe9,x", b"t3,a3", b""]))
+        with pytest.raises(MalformedCsv, match=r"d\.csv line 5: not UTF-8 text"):
+            load_dataset(path, "IVM", MANIFEST)
+
+    def test_non_utf8_header_raises_before_any_row(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"Dataset Name,Inclusion Criteria,Exclusion Crit\xe8ria\r\nIVM,a,b\r\n")
+        with pytest.raises(MalformedCsv, match=r"m\.csv line 1: not UTF-8 text"):
+            load_manifest(path)
+
+    def test_unterminated_quote_past_the_field_limit_names_the_path_and_line(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text('title,abstract\r\nt0,"never closed\r\n' + "x" * 140_000 + "\r\n", encoding="ascii")
+        with pytest.raises(MalformedCsv, match=r"d\.csv line 3: not a CSV row: field larger than field limit"):
+            load_dataset(path, "IVM", MANIFEST)
+
+
+class TestLoadDatasetStreams:
+    def test_peak_memory_is_about_what_the_records_hold(self, tmp_path):
+        path = write_large_results(tmp_path / "r.csv", rows=2600)
+        assert path.stat().st_size >= 4_000_000
+        records, held, peak = traced_peak(lambda: load_dataset(path, "IVM", MANIFEST))
+        assert len(records) == 2600
+        # Reading all rows before building records would peak at about twice this.
+        assert peak <= 1.25 * held, (peak, held)
+
+    def test_empty_title_on_row_3_of_a_large_file_closes_it(self, tmp_path, corpus_files):
+        path = write_large_results(tmp_path / "r.csv", rows=2000)
+        data = path.read_bytes()
+        assert data.count(b"\r\ntitle 3,") == 1
+        path.write_bytes(data.replace(b"\r\ntitle 3,", "\r\n\u00ff,".encode("utf-8")))
+        with reported_unraisable() as reported:
+            with pytest.raises(EmptyField, match="row 3: empty title") as failure:
+                load_dataset(path, "IVM", MANIFEST)
+            # Closed while the failure still holds the reader's frame.
+            assert len(corpus_files) == 1
+            assert corpus_files[0].closed
+            corpus_files.clear()
+            del failure
+        assert reported == []
