@@ -266,10 +266,18 @@ def screen(dataset: str | None, resume: bool, **kwargs) -> None:
     manifest = _load_manifest(config)
     names = _dataset_names(manifest, dataset)
     datasets = {name: _load_records(config, manifest, name, resume) for name in names}
+    backend = _make_backend(config)
+    if not resume:
+        # Up front, so a --resume after a killed run never counts a stale
+        # dataset as done. The CSV goes first: a journal without one is discarded.
+        for name in names:
+            results_path = _results_path(config, name)
+            results_path.unlink(missing_ok=True)
+            journal_path(results_path).unlink(missing_ok=True)
     report = run_screening(
         manifest,
         datasets,
-        _make_backend(config),
+        backend,
         config.run,
         config.output_dir,
         run_log_path=config.output_dir / RUN_LOG_NAME,
@@ -429,10 +437,11 @@ def _confusion_svg(name: str, cm: metrics_mod.ConfusionMatrix) -> str:
     counts = [[cm.tp, cm.fn], [cm.fp, cm.tn]]
     peak = max(cm.tp, cm.fn, cm.fp, cm.tn, 1)
     cell, x0, y0 = 120, 150, 70
+    title = name.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     parts = [
         '<svg xmlns="http://www.w3.org/2000/svg" width="420" height="360" '
         'viewBox="0 0 420 360" font-family="monospace" font-size="14">',
-        f'<text x="210" y="28" text-anchor="middle" font-size="16">{name}</text>',
+        f'<text x="210" y="28" text-anchor="middle" font-size="16">{title}</text>',
         f'<text x="{x0 + cell}" y="52" text-anchor="middle">predicted</text>',
         f'<text x="{x0 + cell // 2}" y="{y0 - 4}" text-anchor="middle">included</text>',
         f'<text x="{x0 + cell + cell // 2}" y="{y0 - 4}" text-anchor="middle">excluded</text>',

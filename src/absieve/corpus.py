@@ -29,7 +29,7 @@ import csv
 import enum
 import json
 import os
-import tempfile
+import re
 from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
@@ -82,6 +82,10 @@ class IoFailure(CorpusError):
 
 class MalformedCsv(CorpusError):
     """A CSV file that is not UTF-8 text, or that the csv module cannot parse."""
+
+
+class InvalidDatasetName(CorpusError):
+    """A manifest dataset name that would not stay a single file-name component."""
 
 
 class JournalCorrupt(CorpusError):
@@ -163,6 +167,7 @@ class ScreeningRecord:
 _BOUNDARY_CONTROLS = b"\t\n\r\x0b\x0c"
 _BOUNDARIES_TO_SPACES = bytes.maketrans(_BOUNDARY_CONTROLS, b" " * len(_BOUNDARY_CONTROLS))
 _DELETED_CONTROLS = bytes(c for c in range(0x20) if c not in _BOUNDARY_CONTROLS) + b"\x7f"
+_SPACE_RUNS = re.compile("  +")
 
 RESULT_COLUMNS = ("title", "abstract", "human_decision", "decision", "explanation", "reflection")
 
@@ -183,14 +188,16 @@ def clean_text(raw: str) -> str:
 
     Text that is already clean costs one encode, translate and decode and a
     scan for a double space: the collapse only runs when a double space or an
-    edge space is left to remove.
+    edge space is left to remove, and then it is one precompiled regex pass
+    and a strip.
     """
     ascii_text = raw.encode("ascii", "ignore").translate(_BOUNDARIES_TO_SPACES, _DELETED_CONTROLS)
     text = ascii_text.decode("ascii")
-    # Only the space is left as whitespace, so split/join collapses and trims.
-    # The checks run on the str: on short cells they cost less than on bytes.
+    # Only the space is left as whitespace, so collapsing space runs and
+    # stripping spaces is the whole job. The checks run on the str: on short
+    # cells they cost less than on bytes.
     if text[:1] == " " or text[-1:] == " " or "  " in text:
-        return " ".join(text.split())
+        return _SPACE_RUNS.sub(" ", text).strip(" ")
     return text
 
 
@@ -278,6 +285,9 @@ def load_manifest(path: str | Path) -> ScreeningManifest:
 
     Header names are matched case-insensitively, and the exclusion column is
     found under either its correct spelling or the known misspelled alias.
+    A dataset name becomes part of file names (``<name>.csv``,
+    ``<name>_results.csv``), so one that is ``.`` or ``..`` or holds a path
+    separator raises :class:`InvalidDatasetName`.
     """
     header, rows = read_rows(path)
     with closing(rows):
@@ -301,6 +311,11 @@ def load_manifest(path: str | Path) -> ScreeningManifest:
             name = clean_text(_cell(row, name_pos))
             if not name:
                 raise EmptyField(f"{path} row {n}: empty dataset name")
+            if name in (".", "..") or "/" in name or "\\" in name:
+                raise InvalidDatasetName(
+                    f"{path} row {n}: dataset name {name!r} must not be '.' or '..' "
+                    "or contain '/' or '\\'"
+                )
             if name in seen:
                 raise DuplicateDatasetName(name)
             seen.add(name)
@@ -391,14 +406,16 @@ def write_results(records: Iterable[ScreeningRecord], path: str | Path) -> None:
     the bytes equal ``csv.writer``'s and the file never sits in memory whole.
     The write goes to a temporary file in the destination directory followed
     by a rename, so a crash mid-write can never leave a truncated results
-    file behind.
+    file behind. The file's mode follows the umask, as for a file ``open``
+    creates.
     """
     ordered = sorted(records, key=lambda r: r.row_index)
     path = Path(path)
     try:
-        fd, tmp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=path.name + ".", suffix=".tmp"
-        )
+        # Created as open() creates a file, so its mode follows the umask
+        # (tempfile.mkstemp's is 0600). 48 random bits keep the name unused.
+        tmp_name = str(path.parent / f"{path.name}.{os.urandom(6).hex()}.tmp")
+        fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w", newline="", encoding="ascii") as fh:
                 fh.write(csv_line(RESULT_COLUMNS))

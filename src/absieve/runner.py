@@ -16,12 +16,14 @@ shared iterator and hand replies back through one completion queue. At most
 reply back costs the same however many calls are pending, so the cost per
 row stays flat as a dataset grows.
 
-They also share one writer, ``_journaled``: a results CSV, written in full
-(an atomic replace) before a fresh journal starts if it lacks the records,
-and when a run ends, done or interrupted; in between, an append-only journal
-gets one line per finished row, so persisting a row costs the same at any
-dataset size. The next run that reads the CSV folds in a journal left by a
-killed run, so after an interrupt anywhere a rerun reaches the same file.
+They also share one writer, ``_journaled``: an append-only journal gets one
+line per finished row, so persisting a row costs the same at any dataset
+size, and the results CSV is written in full (an atomic replace) when a run
+ends, done or interrupted. A journal always extends the CSV at its path: a
+run that finds a CSV there read its records from it, with any journal left
+by a killed run folded in, and appends to that journal; only a run that
+finds no CSV writes its records first and starts an empty journal. So after
+an interrupt anywhere a rerun reaches the same file.
 """
 
 from __future__ import annotations
@@ -364,18 +366,31 @@ def _decided(text: str) -> tuple[Decision, bool]:
 
 
 @contextmanager
-def _journaled(records: Sequence[ScreeningRecord], path: Path, rewrite: bool) -> Iterator[TextIO]:
-    """Yield a fresh journal for finished rows; then write ``records`` to the CSV at ``path``.
+def _journaled(records: Sequence[ScreeningRecord], path: Path) -> Iterator[TextIO]:
+    """Yield the journal for finished rows; then write ``records`` to the CSV at ``path``.
 
-    A fresh journal may only start while the CSV holds ``records``: pass
-    ``rewrite`` when it does not. Each journal line reaches the file as it is
-    written. The journal is closed before the final write, so if that fails
-    the journal on disk still holds every finished row for the next run.
+    A journal always extends the CSV under it. With no CSV at ``path``,
+    ``records`` are written there first and the journal starts empty (a
+    journal orphaned by a deleted CSV is discarded). A CSV at ``path`` must
+    be the one ``records`` were read from, with any leftover journal folded
+    in: that journal is kept, cut after its last newline (a torn last line is
+    one ``fold_journal`` ignores), and appended to. Each journal line reaches
+    the file as it is written. The journal is closed before the final write,
+    so if that fails the journal on disk still holds every finished row for
+    the next run.
     """
-    if rewrite:
-        write_results(records, path)
     journal_file = journal_path(path)
-    journal = open(journal_file, "w", encoding="ascii", buffering=1)
+    if path.exists():
+        mode = "a"
+        try:
+            with open(journal_file, "r+b") as leftover:
+                leftover.truncate(leftover.read().rfind(b"\n") + 1)
+        except FileNotFoundError:
+            pass
+    else:
+        mode = "w"
+        write_results(records, path)
+    journal = open(journal_file, mode, encoding="ascii", buffering=1)
     try:
         yield journal
     finally:
@@ -411,9 +426,8 @@ def _screen_dataset(
         )
         return _call(request, backend, config, limiter, log, accept=_decided)
 
-    # The records may come from the dataset file: write the CSV before a fresh journal.
     replies = _dispatch(config, pending, screen)
-    with _journaled(records, results_path, rewrite=True) as journal, closing(replies):
+    with _journaled(records, results_path) as journal, closing(replies):
         for record, reply in replies:
             decision = Decision.ERROR if reply.value is None else reply.value
             record.model_decision = decision
@@ -444,12 +458,18 @@ def run_screening(
 
     Rows that already carry a model decision are skipped (that is the whole
     resume contract). Results land in ``output_dir/<name>_results.csv``,
-    written in full when a dataset starts, when it ends and when the run is
-    interrupted. Each completed row in between appends a line to
-    ``<name>_results.journal.jsonl`` that reaches the file as it is written,
-    so a crash loses no finished row; the journal is removed once the CSV
-    holds its rows.
+    written in full when a dataset ends or the run is interrupted, and also
+    when a dataset starts if no results CSV is there yet. Each completed row
+    appends a line to ``<name>_results.journal.jsonl`` that reaches the file
+    as it is written, so a crash loses no finished row; the journal is
+    removed once the CSV holds its rows.
     Output row order is input row order regardless of completion order.
+
+    A results CSV already at a dataset's path must hold that dataset's
+    records, as read from it with any leftover journal folded in: the
+    journal extends that file rather than replacing it. To screen afresh,
+    remove the CSV and its journal first, as ``absieve screen`` without
+    ``--resume`` does.
     """
     config.validate()
     out_dir = Path(output_dir)
@@ -532,10 +552,7 @@ def run_explanations(
     report.skipped_count = len(records) - len(eligible)
     build = build_explain_prompt if mode is PromptKind.EXPLAIN else build_reflect_prompt
     column = "explanation" if mode is PromptKind.EXPLAIN else "reflection"
-    journaled = nullcontext()
-    if results is not None:
-        # A journal left next to the CSV holds rows the CSV lacks.
-        journaled = _journaled(*results, rewrite=journal_path(results[1]).exists())
+    journaled = nullcontext() if results is None else _journaled(*results)
 
     def annotate(record: ScreeningRecord) -> _Reply:
         request = CompletionRequest(

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 from click.testing import CliRunner
@@ -332,6 +333,93 @@ class TestJournal:
                 straight / "out" / f"{name}_results.csv"
             ).read_bytes()
 
+    def _leftover_resume_workspace(self, tmp_path: Path, tail: str) -> tuple[Path, Path, bytes]:
+        """A straight screened run, and a workspace holding a CSV with a leftover journal."""
+        datasets = {"IVM": KILL_ROWS, "OTHER": KILL_ROWS[:4]}
+        straight, killed = tmp_path / "straight", tmp_path / "killed"
+        straight.mkdir()
+        killed.mkdir()
+        config = make_workspace(straight, datasets=datasets, script=dict(KILL_SCRIPT))
+        assert invoke(config, "screen").exit_code == 0
+        config = make_workspace(killed, datasets=datasets, script=dict(KILL_SCRIPT))
+        out = killed / "out"
+        out.mkdir()
+        start = write_dataset(out / "IVM_results.csv", KILL_ROWS).read_bytes()
+        # Rows 0 and 1 as the script decides them, left by a killed run; maybe a torn line after.
+        (out / "IVM_results.journal.jsonl").write_text(
+            '{"row": 0, "decision": "excluded"}\n{"row": 1, "decision": "excluded"}\n' + tail
+        )
+        return straight, config, start
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="needs SIGKILL")
+    @pytest.mark.parametrize("tail", ["", '{"row": 2, "deci'], ids=["whole", "torn"])
+    @pytest.mark.parametrize("kill_after", [1, 5])
+    def test_sigkill_of_a_resume_then_resume_matches_uninterrupted(self, tmp_path, kill_after, tail):
+        straight, config, start = self._leftover_resume_workspace(tmp_path, tail)
+        out = config.parent / "out"
+        journal = out / "IVM_results.journal.jsonl"
+        child = _slow_child(config, journal, 2 + kill_after, "screen", "--resume")
+        try:
+            child.send_signal(signal.SIGKILL)
+        finally:
+            child.kill()
+            child.wait()
+        assert child.returncode == -signal.SIGKILL
+
+        # The killed resume appended to the journal under the CSV it read, without rewriting it;
+        # a torn last line was cut first, so the journal reads back whole.
+        assert (out / "IVM_results.csv").read_bytes() == start
+        manifest = ScreeningManifest((ManifestEntry("IVM", CriteriaSet("i", "e")),))
+        records = load_dataset(out / "IVM_results.csv", "IVM", manifest)
+        assert fold_journal(records, journal) >= 2 + kill_after
+        decided = {r.row_index for r in records if r.model_decision}
+        killed_calls = [json.loads(line) for line in (out / "run_log.jsonl").read_text().splitlines()]
+        assert not {c["row"] for c in killed_calls if c["dataset"] == "IVM"} & {0, 1}
+
+        result = invoke(config, "screen", "--resume")
+        assert result.exit_code == 0, result.output
+        calls = [json.loads(line) for line in (out / "run_log.jsonl").read_text().splitlines()]
+        # No row decided before the rerun is asked again.
+        rerun_rows = {c["row"] for c in calls[len(killed_calls):] if c["dataset"] == "IVM"}
+        assert not rerun_rows & decided
+        for name in ("IVM", "OTHER"):
+            assert (out / f"{name}_results.csv").read_bytes() == (
+                straight / "out" / f"{name}_results.csv"
+            ).read_bytes()
+        assert not list(out.glob("*.journal.jsonl"))
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="needs SIGKILL")
+    def test_killed_fresh_screen_leaves_no_stale_dataset_behind(self, tmp_path):
+        datasets = {"IVM": KILL_ROWS, "OTHER": KILL_ROWS[:4]}
+        straight, killed = tmp_path / "straight", tmp_path / "killed"
+        straight.mkdir()
+        killed.mkdir()
+        config = make_workspace(straight, datasets=datasets, script=dict(KILL_SCRIPT))
+        assert invoke(config, "screen").exit_code == 0
+
+        config = make_workspace(killed, datasets=datasets, script=dict(KILL_SCRIPT))
+        out = killed / "out"
+        older = write_mock_script(killed / "older.json", {}, "included")
+        assert invoke(config, "screen", "--mock-script", str(older)).exit_code == 0
+        assert (out / "OTHER_results.csv").exists()
+        child = _slow_child(config, out / "IVM_results.journal.jsonl", 1, "screen")
+        try:
+            child.send_signal(signal.SIGKILL)
+        finally:
+            child.kill()
+            child.wait()
+        assert child.returncode == -signal.SIGKILL
+
+        # The older run's results went before the first call, not when each dataset's turn came.
+        assert not (out / "OTHER_results.csv").exists()
+        assert not any(row["decision"] for row in read_csv_rows(out / "IVM_results.csv"))
+        result = invoke(config, "screen", "--resume")
+        assert result.exit_code == 0, result.output
+        for name in datasets:
+            assert (out / f"{name}_results.csv").read_bytes() == (
+                straight / "out" / f"{name}_results.csv"
+            ).read_bytes()
+
 
 # Human decisions alternate I,E; the model excludes all but rows 3 and 10, so
 # every row can be explained and rows 0, 2, 3, 4, 6 and 8 reflected on.
@@ -436,6 +524,39 @@ class TestAnnotationJournal:
             tmp_path / "straight" / "out" / "IVM_results.csv"
         ).read_bytes()
 
+    @pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="needs SIGKILL")
+    @pytest.mark.parametrize("command", ["explain", "reflect"])
+    def test_torn_leftover_journal_is_cut_then_extended(self, tmp_path, command):
+        straight, args = self._screened(tmp_path / "straight", command)
+        assert invoke(straight, *args).exit_code == 0
+        config, args = self._screened(tmp_path / "stopped", command)
+        out = tmp_path / "stopped" / "out"
+        journal = out / "IVM_results.journal.jsonl"
+        column = "explanation" if command == "explain" else "reflection"
+        journal.write_text(f'{{"row": 0, "{column}": "older text"}}\n{{"row": 2, "{column}": "ol')
+        start = (out / "IVM_results.csv").read_bytes()
+        child = _slow_child(config, journal, 3, *args)
+        try:
+            child.send_signal(signal.SIGKILL)
+        finally:
+            child.kill()
+            child.wait()
+        assert child.returncode == -signal.SIGKILL
+
+        # No write before the first call; the torn bytes were cut before the first append.
+        assert (out / "IVM_results.csv").read_bytes() == start
+        manifest = ScreeningManifest((ManifestEntry("IVM", CriteriaSet("i", "e")),))
+        records = load_dataset(out / "IVM_results.csv", "IVM", manifest)
+        assert fold_journal(records, journal) >= 3
+        assert journal.read_text().startswith(f'{{"row": 0, "{column}": "older text"}}\n{{"row": ')
+
+        result = invoke(config, *args)
+        assert result.exit_code == 0, result.output
+        assert (out / "IVM_results.csv").read_bytes() == (
+            tmp_path / "straight" / "out" / "IVM_results.csv"
+        ).read_bytes()
+        assert not list(out.glob("*.journal.jsonl"))
+
 
 @pytest.fixture
 def results_writes(monkeypatch) -> list[Path]:
@@ -479,9 +600,22 @@ class TestResultsWrites:
             "".join(f'{{"row": {i}, "decision": "{d}"}}\n' for i, d in enumerate(decisions))
         )
         assert invoke(config, command, "--dataset", "IVM").exit_code == 0
-        assert results_writes == [out / "IVM_results.csv"] * 2
+        assert results_writes == [out / "IVM_results.csv"]
         assert [r["decision"] for r in read_csv_rows(out / "IVM_results.csv")] == decisions
         assert not (out / "IVM_results.journal.jsonl").exists()
+
+    def test_resume_writes_each_results_file_once(self, tmp_path, results_writes):
+        config = make_workspace(tmp_path, datasets={"IVM": DEFAULT_ROWS, "OTHER": DEFAULT_ROWS})
+        out = tmp_path / "out"
+        out.mkdir()
+        write_dataset(out / "IVM_results.csv", DEFAULT_ROWS)
+        write_dataset(out / "OTHER_results.csv", DEFAULT_ROWS)
+        (out / "IVM_results.journal.jsonl").write_text('{"row": 1, "decision": "excluded"}\n')
+        assert invoke(config, "screen", "--resume").exit_code == 0
+        assert results_writes == [out / "IVM_results.csv", out / "OTHER_results.csv"]
+        assert [r["decision"] for r in read_csv_rows(out / "IVM_results.csv")] == [
+            "included", "excluded", "included", "excluded"
+        ]
 
 
 class TestExplainReflect:
@@ -714,6 +848,50 @@ class TestEvaluate:
             "where n counts its comparable (non-dropped) rows\n"
         )
 
+    def test_every_confusion_svg_is_well_formed_xml(self, tmp_path):
+        names = ["IVM", "A&B <x>", "q>r"]
+        config = make_workspace(tmp_path, datasets={name: DEFAULT_ROWS for name in names}, script={})
+        assert invoke(config, "screen").exit_code == 0
+        assert invoke(config, "evaluate", "--all").exit_code == 0
+        svgs = sorted((tmp_path / "out").glob("*_confusion.svg"))
+        assert len(svgs) == len(names)
+        titles = {ElementTree.parse(svg).getroot()[0].text for svg in svgs}
+        assert titles == set(names)
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs POSIX file modes")
+class TestFileModes:
+    def test_every_output_follows_the_umask(self, tmp_path):
+        config = make_workspace(tmp_path)
+        old = os.umask(0o027)
+        try:
+            assert invoke(config, "screen").exit_code == 0
+            assert invoke(config, "explain", "--dataset", "IVM").exit_code == 0
+            assert invoke(config, "evaluate", "--all").exit_code == 0
+        finally:
+            os.umask(old)
+        out = tmp_path / "out"
+        modes = {path.name: path.stat().st_mode & 0o777 for path in out.iterdir()}
+        assert "IVM_results.csv" in modes and "metrics.json" in modes
+        assert modes == dict.fromkeys(modes, 0o640)
+
+
+class TestDatasetNames:
+    @pytest.mark.parametrize("command", ["screen", "evaluate"])
+    @pytest.mark.parametrize("name", ["../escaped", "..", "sub\\name"])
+    def test_name_that_leaves_its_directory_exits_two(self, tmp_path, command, name):
+        config = make_workspace(tmp_path)
+        assert invoke(config, "screen").exit_code == 0
+        # Files the unchecked name would reach, so only the check can stop the command.
+        write_dataset(tmp_path / "escaped.csv", DEFAULT_ROWS)
+        write_dataset(tmp_path / "escaped_results.csv", [dict(r, decision="included") for r in DEFAULT_ROWS])
+        before = sorted(tmp_path.rglob("*"))
+        write_manifest(tmp_path / "manifest.csv", [["IVM", "inc", "exc"], [name, "inc", "exc"]])
+        result = invoke(config, command, *(["--all"] if command == "evaluate" else []))
+        assert result.exit_code == 2
+        assert "row 2" in result.output and repr(name) in result.output
+        assert sorted(tmp_path.rglob("*")) == before
+
 
 class TestEstimateCost:
     def test_zero_rows_costs_zero(self, tmp_path):
@@ -894,7 +1072,6 @@ class TestConfigHandling:
         result = invoke(config, "screen")
         assert result.exit_code == 2
         assert "max_in_flight" in result.output
-
 
     @pytest.mark.parametrize("command", ["screen", "explain", "estimate-cost"])
     def test_invalid_runner_flag_exits_two_from_each_command(self, tmp_path, command):

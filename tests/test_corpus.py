@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import io
 import json
+import os
 import random
 import re
 import string
@@ -18,6 +19,7 @@ from absieve.corpus import (
     DuplicateDatasetName,
     EmptyField,
     EmptyManifest,
+    InvalidDatasetName,
     IoFailure,
     JournalCorrupt,
     MalformedCsv,
@@ -205,6 +207,17 @@ class TestLoadManifest:
         with pytest.raises(UnknownDataset):
             manifest.criteria_for("SSRI")
 
+    @pytest.mark.parametrize("name", ["../escaped", "a/b", "/abs", "a\\b", ".", ".."])
+    def test_name_that_is_no_single_path_component_is_rejected(self, tmp_path, name):
+        path = write_manifest(tmp_path / "m.csv", [["IVM", "a", "b"], [name, "c", "d"]])
+        with pytest.raises(InvalidDatasetName, match="row 2"):
+            load_manifest(path)
+
+    @pytest.mark.parametrize("name", ["...", ".hidden", "a.b", "A&B <x>", "a..b"])
+    def test_other_names_with_dots_are_kept(self, tmp_path, name):
+        path = write_manifest(tmp_path / "m.csv", [[name, "c", "d"]])
+        assert load_manifest(path).names() == (name,)
+
 
 class TestLoadDataset:
     def test_titles_only(self, tmp_path):
@@ -366,6 +379,18 @@ class TestWriteResults:
         path = tmp_path / "out.csv"
         write_results([record], path)
         assert read_csv_rows(path)[0]["explanation"] == "caf note"
+
+    @pytest.mark.skipif(os.name != "posix", reason="needs POSIX file modes")
+    @pytest.mark.parametrize("umask", [0o022, 0o027, 0o077])
+    def test_mode_follows_the_umask_as_for_open(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            write_results([ScreeningRecord(0, "t", "a")], tmp_path / "out.csv")
+            (tmp_path / "plain.txt").write_text("x")
+        finally:
+            os.umask(old)
+        mode = (tmp_path / "out.csv").stat().st_mode & 0o777
+        assert mode == (tmp_path / "plain.txt").stat().st_mode & 0o777 == 0o666 & ~umask
 
     def test_atomic_replace_of_existing_file(self, tmp_path):
         path = tmp_path / "out.csv"

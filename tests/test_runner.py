@@ -17,6 +17,7 @@ from absieve.corpus import (
     ScreeningRecord,
     fold_journal,
     load_dataset,
+    write_results,
 )
 from absieve.llm import (
     CompletionResult,
@@ -35,7 +36,7 @@ from absieve.runner import (
     run_explanations,
     run_screening,
 )
-from conftest import read_csv_rows
+from conftest import read_csv_rows, write_dataset
 
 MANIFEST = ScreeningManifest(
     (
@@ -674,6 +675,49 @@ class TestCheckpointing:
         assert [r.model_decision for r in recovered] == [
             Decision.INCLUDED if i in (3, 17) else Decision.EXCLUDED for i in range(20)
         ]
+
+    def test_leftover_journal_is_cut_at_its_torn_line_then_extended(self, tmp_path, monkeypatch):
+        import absieve.runner
+
+        csv_path, journal = tmp_path / "D_results.csv", tmp_path / "D_results.journal.jsonl"
+        write_results(make_records(4), csv_path)
+        before = csv_path.read_bytes()
+        journal.write_text('{"row": 0, "decision": "included"}\n{"row": 1, "deci')
+        records = load_dataset(csv_path, "D", MANIFEST)
+        assert fold_journal(records, journal) == 1
+
+        def fails(records, path):
+            raise IoFailure(f"cannot write {path}: disk full")
+
+        # Any write fails, so the CSV and journal stay as a kill after the last row leaves them.
+        monkeypatch.setattr(absieve.runner, "write_results", fails)
+        with pytest.raises(IoFailure):
+            run_screening(
+                MANIFEST, {"D": records}, mock({"default": "excluded"}), fast_config(max_in_flight=1), tmp_path
+            )
+        assert csv_path.read_bytes() == before  # the journal extends the CSV that was read
+        lines = journal.read_text().splitlines()
+        assert lines[0] == '{"row": 0, "decision": "included"}'
+        assert sorted(lines[1:]) == [f'{{"row": {i}, "decision": "excluded"}}' for i in (1, 2, 3)]
+        recovered = load_dataset(csv_path, "D", MANIFEST)
+        assert fold_journal(recovered, journal) == 4
+        assert [r.model_decision for r in recovered] == [Decision.INCLUDED] + [Decision.EXCLUDED] * 3
+
+    def test_results_csv_without_journal_is_extended_by_a_new_one(self, tmp_path):
+        csv_path = tmp_path / "D_results.csv"
+        before = write_dataset(csv_path, [{"title": f"t{i}", "abstract": f"a{i}"} for i in range(3)]).read_bytes()
+        seen = []
+
+        class Watcher:
+            def complete(self, request):
+                seen.append(csv_path.read_bytes())
+                return CompletionResult("excluded", 1, 1, 0.0)
+
+        records = load_dataset(csv_path, "D", MANIFEST)
+        run_screening(MANIFEST, {"D": records}, Watcher(), fast_config(max_in_flight=1), tmp_path)
+        assert seen == [before] * 3
+        assert [row["decision"] for row in read_csv_rows(csv_path)] == ["excluded"] * 3
+        assert not (tmp_path / "D_results.journal.jsonl").exists()
 
 
 class TestRunExplanations:
