@@ -1,4 +1,6 @@
-"""absieve: batch title/abstract screening with an LLM, and its evaluation suite."""
+"""absieve: batch title/abstract screening with an LLM, and its evaluation suite.
+
+Immutable records are NamedTuples: use ``_replace``/``_asdict``, not ``dataclasses.replace``/``asdict``."""
 
 from .corpus import (
     CriteriaSet,

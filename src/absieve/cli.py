@@ -16,8 +16,9 @@ import json
 import random
 import sys
 from contextlib import closing
-from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import NamedTuple
+from urllib.parse import urlsplit
 
 import click
 
@@ -79,8 +80,7 @@ class _Main(click.Group):
             raise CliFailure(str(exc))
 
 
-@dataclass
-class AppConfig:
+class AppConfig(NamedTuple):
     base_url: str | None
     mock_script: Path | None  # set for the mock backend, None for HTTP
     credential_env: str
@@ -121,7 +121,10 @@ def load_app_config(path: Path, overrides: dict[str, str | None]) -> AppConfig:
     if not path.exists():
         raise CliFailure(f"config file not found: {path}")
     try:
-        parser.read(path)
+        with open(path, encoding="utf-8") as fh:
+            parser.read_file(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliFailure(f"config file {path} cannot be read: {exc}")
     except configparser.Error as exc:
         raise CliFailure(f"config file {path}: {exc}")
 
@@ -143,6 +146,9 @@ def load_app_config(path: Path, overrides: dict[str, str | None]) -> AppConfig:
             "exactly one backend must be configured: set either backend.base_url "
             "or backend.mock_script"
         )
+    base_url = values["base_url"]
+    if base_url and not _is_http_url(base_url):
+        raise CliFailure(f"backend.base_url must be an http:// or https:// URL with a host, got {base_url!r}")
     for key in ("manifest", "data_dir", "output_dir"):
         if not values[key]:
             raise CliFailure(f"config field paths.{key} is required")
@@ -167,7 +173,7 @@ def load_app_config(path: Path, overrides: dict[str, str | None]) -> AppConfig:
 
     run.validate()
     return AppConfig(
-        base_url=values["base_url"],
+        base_url=base_url,
         mock_script=mock_path,
         credential_env=values["credential_env"] or "ABSIEVE_API_KEY",
         run=run,
@@ -177,10 +183,26 @@ def load_app_config(path: Path, overrides: dict[str, str | None]) -> AppConfig:
     )
 
 
+def _is_http_url(url: str) -> bool:
+    """Whether urllib can post to ``url``: an http(s) scheme, a host and a usable port.
+
+    Anything else would fail every row with an error urllib raises as
+    ``ValueError``, which the runner retries as transient.
+    """
+    try:
+        parts = urlsplit(url)
+        port_ok = parts.port is None or parts.port > 0
+    except ValueError:  # a port that is not a number in 0-65535, or a bad IPv6 host
+        return False
+    return parts.scheme in ("http", "https") and bool(parts.hostname) and port_ok
+
+
 def _make_backend(config: AppConfig):
     if config.mock_script is not None:
         try:
             script = MockScript.from_file(config.mock_script)
+        except OSError as exc:
+            raise CliFailure(f"backend.mock_script {config.mock_script}: cannot be read: {exc}")
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise CliFailure(f"backend.mock_script {config.mock_script}: not a mock script: {exc!r}")
         return MockBackend(script)
@@ -306,6 +328,8 @@ def _run_explain(
     seed: int,
     kwargs: dict,
 ) -> None:
+    if rows is not None and sample is not None:
+        raise CliFailure("--rows and --sample are mutually exclusive")
     config = _split_config_kwargs(kwargs)
     manifest = _load_manifest(config)
     _dataset_names(manifest, dataset)
@@ -551,7 +575,8 @@ def estimate_cost_cmd(**kwargs) -> None:
         for name in manifest.names()
     }
     estimate = estimate_cost(manifest, datasets, config.run)
-    _write_json(config.output_dir / ESTIMATE_JSON_NAME, asdict(estimate))
+    document = {**estimate._asdict(), "per_dataset": [d._asdict() for d in estimate.per_dataset]}
+    _write_json(config.output_dir / ESTIMATE_JSON_NAME, document)
     for d in estimate.per_dataset:
         click.echo(
             f"{d.dataset_name}: {d.rows} rows, {d.input_tokens} input tokens, "

@@ -33,7 +33,7 @@ import re
 from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
 class CorpusError(Exception):
@@ -114,22 +114,21 @@ DECIDED = (Decision.INCLUDED, Decision.EXCLUDED)
 DECISION_CELLS: dict[str, Decision | None] = {"": None, **{d.value: d for d in Decision}}
 
 
-@dataclass(frozen=True)
-class CriteriaSet:
+class CriteriaSet(NamedTuple):
     """A dataset's natural-language inclusion and exclusion criteria."""
 
     inclusion: str
     exclusion: str
 
 
-@dataclass(frozen=True)
-class ManifestEntry:
+class ManifestEntry(NamedTuple):
     dataset_name: str
     criteria: CriteriaSet
 
 
-@dataclass(frozen=True)
-class ScreeningManifest:
+class ScreeningManifest(NamedTuple):
+    """The manifest's datasets, in file order. One field, so its ``len()`` is 1."""
+
     entries: tuple[ManifestEntry, ...]
 
     def names(self) -> tuple[str, ...]:

@@ -14,8 +14,9 @@ import os
 import re
 import threading
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 from urllib.parse import urljoin, urlsplit
 
 from .corpus import Decision
@@ -42,30 +43,37 @@ class AuthMissing(BackendError):
     pass
 
 
-@dataclass(frozen=True)
-class CompletionRequest:
-    """One backend call. ``dataset_name``/``row_index`` identify the row so
-    the scripted mock can replay a response for it; the HTTP backend ignores
-    them."""
-
+class _CompletionRequestFields(NamedTuple):
     model: str
     prompt: PromptText
-    temperature: float = 0.0
-    max_output_tokens: int = 8
-    dataset_name: str | None = None
-    row_index: int | None = None
+    temperature: float
+    max_output_tokens: int
+    dataset_name: str | None
+    row_index: int | None
 
-    def __post_init__(self) -> None:
-        if not self.prompt.body:
+
+class CompletionRequest(_CompletionRequestFields):
+    """One backend call. ``dataset_name``/``row_index`` identify the row so
+    the scripted mock can replay a response for it; the HTTP backend ignores
+    them. Invalid values raise ``ValueError``, from ``_make``/``_replace`` too."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, model, prompt, temperature=0.0, max_output_tokens=8, dataset_name=None, row_index=None
+    ):
+        if not prompt.body:
             raise ValueError("prompt must be non-empty")
-        if self.temperature < 0:
+        if temperature < 0:
             raise ValueError("temperature must be >= 0")
-        if self.max_output_tokens < 1:
+        if max_output_tokens < 1:
             raise ValueError("max_output_tokens must be positive")
+        return tuple.__new__(cls, (model, prompt, temperature, max_output_tokens, dataset_name, row_index))
+
+    _make = classmethod(lambda cls, values: cls(*values))  # namedtuple's _make skips __new__
 
 
-@dataclass(frozen=True)
-class CompletionResult:
+class CompletionResult(NamedTuple):
     text: str
     input_tokens: int
     output_tokens: int
@@ -218,14 +226,12 @@ class HttpBackend:
         )
 
 
-@dataclass(frozen=True)
-class InjectedFailure:
+class InjectedFailure(NamedTuple):
     status: int
     count: int
 
 
-@dataclass(frozen=True)
-class MockScript:
+class MockScript(NamedTuple):
     """Scripted responses keyed by ``(dataset_name, row_index)``.
 
     The file form is a JSON object whose keys are ``"dataset/row"`` strings
@@ -235,9 +241,9 @@ class MockScript:
     response is served).
     """
 
-    responses: dict[tuple[str, int], str] = field(default_factory=dict)
+    responses: Mapping[tuple[str, int], str] = MappingProxyType({})
     default: str = ""
-    failures: dict[tuple[str, int], InjectedFailure] = field(default_factory=dict)
+    failures: Mapping[tuple[str, int], InjectedFailure] = MappingProxyType({})
 
     @staticmethod
     def _parse_key(key: str) -> tuple[str, int]:
@@ -269,8 +275,7 @@ class MockScript:
             return cls.from_dict(json.load(fh))
 
 
-@dataclass(frozen=True)
-class MockCall:
+class MockCall(NamedTuple):
     dataset_name: str | None
     row_index: int | None
     started_at: float

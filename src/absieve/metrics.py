@@ -12,8 +12,7 @@ precision or recall is reported as 0.0 with the affected metric named in
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .corpus import DECIDED, Decision
 
@@ -43,32 +42,39 @@ class EmptyInput(MetricsError):
     pass
 
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    """2x2 agreement counts; "positive" means the included class.
-
-    ``tp``: truth included, predicted included;  ``fn``: truth included,
-    predicted excluded;  ``fp``: truth excluded, predicted included;
-    ``tn``: both excluded.
-    """
-
+class _ConfusionCounts(NamedTuple):
     tp: int
     fn: int
     fp: int
     tn: int
     dropped: int = 0
 
-    def __post_init__(self) -> None:
-        for name in ("tp", "fn", "fp", "tn", "dropped"):
-            if getattr(self, name) < 0:
+
+class ConfusionMatrix(_ConfusionCounts):
+    """2x2 agreement counts; "positive" means the included class.
+
+    ``tp``: truth included, predicted included;  ``fn``: truth included,
+    predicted excluded;  ``fp``: truth excluded, predicted included;
+    ``tn``: both excluded. A negative count raises ``ValueError``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *counts, **named):
+        self = super().__new__(cls, *counts, **named)
+        for name, count in zip(self._fields, self):
+            if count < 0:
                 raise ValueError(f"{name} must be >= 0")
+        return self
+
+    _make = classmethod(lambda cls, values: cls(*values))  # namedtuple's _make skips __new__
 
     @property
     def n(self) -> int:
         return self.tp + self.fn + self.fp + self.tn
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def confusion_matrix(
@@ -136,16 +142,14 @@ def cohens_kappa(cm: ConfusionMatrix) -> float | None:
     return (p_observed - p_expected) / (1.0 - p_expected)
 
 
-@dataclass(frozen=True)
-class ClassStats:
+class ClassStats(NamedTuple):
     precision: float
     recall: float
     f1: float
     support: int
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     included: ClassStats
     excluded: ClassStats
     macro_avg: ClassStats
@@ -196,17 +200,10 @@ def classification_report(cm: ConfusionMatrix) -> ClassificationReport:
         included.f1 * w_inc + excluded.f1 * w_exc,
         cm.n,
     )
-    return ClassificationReport(
-        included=included,
-        excluded=excluded,
-        macro_avg=macro_avg,
-        weighted_avg=weighted_avg,
-        zero_division_fields=tuple(flagged),
-    )
+    return ClassificationReport(included, excluded, macro_avg, weighted_avg, tuple(flagged))
 
 
-@dataclass(frozen=True)
-class DatasetMetrics:
+class DatasetMetrics(NamedTuple):
     """The full evaluation of one dataset against a truth column."""
 
     dataset_name: str
@@ -244,11 +241,12 @@ class DatasetMetrics:
         )
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # json.dumps would write the nested records as arrays.
+        report = {k: v._asdict() if hasattr(v, "_asdict") else v for k, v in self.report._asdict().items()}
+        return {**self._asdict(), "confusion": self.confusion._asdict(), "report": report}
 
 
-@dataclass(frozen=True)
-class WeightedSummary:
+class WeightedSummary(NamedTuple):
     """Size-weighted totals across datasets.
 
     Kappa is deliberately omitted: chance correction does not average
@@ -264,7 +262,7 @@ class WeightedSummary:
     weighting: str = WEIGHTING_NOTE
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def _weighted_mean(pairs: list[tuple[float, int]]) -> float | None:

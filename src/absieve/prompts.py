@@ -9,10 +9,10 @@ template is checked once at load time.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from string import Formatter
+from typing import NamedTuple
 
 from .corpus import DECIDED, CriteriaSet, Decision, ScreeningRecord
 
@@ -35,8 +35,7 @@ class PromptKind(enum.Enum):
     REFLECT = "reflect"
 
 
-@dataclass(frozen=True)
-class PromptText:
+class PromptText(NamedTuple):
     kind: PromptKind
     body: str
 

@@ -37,7 +37,7 @@ import time
 from contextlib import closing, contextmanager, nullcontext
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Protocol, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Protocol, Sequence, TextIO
 
 from .corpus import (
     DECIDED,
@@ -210,8 +210,7 @@ class _RunLog:
                 self._fh = None
 
 
-@dataclass(frozen=True)
-class _Reply:
+class _Reply(NamedTuple):
     """What one request came to: the kept value and the tokens of every attempt."""
 
     value: object
@@ -580,8 +579,7 @@ def run_explanations(
     return report
 
 
-@dataclass(frozen=True)
-class DatasetCostEstimate:
+class DatasetCostEstimate(NamedTuple):
     dataset_name: str
     rows: int
     input_tokens: int
@@ -589,8 +587,7 @@ class DatasetCostEstimate:
     cost: float
 
 
-@dataclass(frozen=True)
-class CostEstimate:
+class CostEstimate(NamedTuple):
     per_dataset: tuple[DatasetCostEstimate, ...]
     total_input_tokens: int
     total_output_tokens: int

@@ -1129,7 +1129,8 @@ SAMPLES = {
     "price_per_1k_output": ("3", "0.375"),
 }
 
-# A value each setting rejects. Any text is a valid base_url, model or credential_env.
+# A value each setting rejects. Any text is a valid model or credential_env;
+# a base_url that is not an http(s) URL is tested in TestConfigHandling.
 BAD_VALUES = {
     "manifest": "{alt}/missing.csv",
     "data_dir": "{alt}/ini_manifest.csv",
@@ -1399,3 +1400,65 @@ class TestEvaluateValidates:
         assert screened.exit_code == evaluated.exit_code == 2
         assert evaluated.output == screened.output
         assert not (tmp_path / "out" / "metrics.json").exists()
+
+
+class TestBadInputExitsTwo:
+    """Config files, backends and flag combinations that cannot work exit 2, with no traceback."""
+
+    @pytest.mark.parametrize(
+        "base_url", ["api.example.invalid", "ftp://api.example.com", "https://", "http://api.example.com:port"]
+    )
+    def test_base_url_without_http_scheme_and_host_exits_two_before_any_change(
+        self, tmp_path, monkeypatch, base_url
+    ):
+        monkeypatch.setenv("ABSIEVE_API_KEY", "k")
+        config = make_workspace(tmp_path)
+        assert invoke(config, "screen").exit_code == 0
+        results = tmp_path / "out" / "IVM_results.csv"
+        screened = results.read_bytes()
+        (tmp_path / "out" / "run_log.jsonl").unlink()
+        config.write_text(
+            config.read_text().replace(
+                f"mock_script = {tmp_path / 'mock_script.json'}", f"base_url = {base_url}"
+            )
+        )
+        result = invoke(config, "screen")
+        assert result.exit_code == 2
+        assert f"backend.base_url must be an http:// or https:// URL with a host, got {base_url!r}" in result.output
+        assert not (tmp_path / "out" / "run_log.jsonl").exists()
+        assert results.read_bytes() == screened
+
+    def test_config_file_not_utf8_exits_two(self, tmp_path):
+        config = make_workspace(tmp_path)
+        config.write_bytes(config.read_bytes().replace(b"model = test-model", b"model = caf\xe9"))
+        result = invoke(config, "screen")
+        assert result.exit_code == 2
+        assert f"config file {config} cannot be read: 'utf-8' codec can't decode byte 0xe9" in result.output
+        assert not (tmp_path / "out").exists()
+
+    def test_config_path_naming_a_directory_exits_two(self, tmp_path):
+        result = runner.invoke(main, ["screen", "--config", str(tmp_path)], catch_exceptions=False)
+        assert result.exit_code == 2
+        assert f"config file {tmp_path} cannot be read: [Errno 21] Is a directory" in result.output
+        assert "exactly one backend" not in result.output
+
+    def test_mock_script_naming_a_directory_exits_two(self, tmp_path):
+        config = make_workspace(tmp_path)
+        (tmp_path / "scripts").mkdir()
+        result = invoke(config, "screen", "--mock-script", str(tmp_path / "scripts"))
+        assert result.exit_code == 2
+        assert f"backend.mock_script {tmp_path / 'scripts'}: cannot be read: [Errno 21]" in result.output
+        assert not (tmp_path / "out" / "run_log.jsonl").exists()
+
+    @pytest.mark.parametrize("command", ["explain", "reflect"])
+    def test_rows_with_sample_exits_two(self, tmp_path, command):
+        config = make_workspace(tmp_path)
+        assert invoke(config, "screen").exit_code == 0
+        results = tmp_path / "out" / "IVM_results.csv"
+        screened = results.read_bytes()
+        log_size = (tmp_path / "out" / "run_log.jsonl").stat().st_size
+        result = invoke(config, command, "--dataset", "IVM", "--rows", "1,2", "--sample", "5")
+        assert result.exit_code == 2
+        assert "--rows and --sample are mutually exclusive" in result.output
+        assert results.read_bytes() == screened
+        assert (tmp_path / "out" / "run_log.jsonl").stat().st_size == log_size
