@@ -18,7 +18,6 @@ import sys
 from contextlib import closing
 from pathlib import Path
 from typing import NamedTuple
-from urllib.parse import urlsplit
 
 import click
 
@@ -37,8 +36,9 @@ from .corpus import (
     load_dataset,
     load_manifest,
     read_rows,
+    results_path,
 )
-from .llm import AuthMissing, HttpBackend, MockBackend, MockScript
+from .llm import AuthMissing, HttpBackend, MockBackend, MockScript, is_http_url
 from .prompts import PromptKind
 from .runner import (
     ConfigInvalid,
@@ -147,7 +147,7 @@ def load_app_config(path: Path, overrides: dict[str, str | None]) -> AppConfig:
             "or backend.mock_script"
         )
     base_url = values["base_url"]
-    if base_url and not _is_http_url(base_url):
+    if base_url and not is_http_url(base_url):
         raise CliFailure(f"backend.base_url must be an http:// or https:// URL with a host, got {base_url!r}")
     for key in ("manifest", "data_dir", "output_dir"):
         if not values[key]:
@@ -183,20 +183,6 @@ def load_app_config(path: Path, overrides: dict[str, str | None]) -> AppConfig:
     )
 
 
-def _is_http_url(url: str) -> bool:
-    """Whether urllib can post to ``url``: an http(s) scheme, a host and a usable port.
-
-    Anything else would fail every row with an error urllib raises as
-    ``ValueError``, which the runner retries as transient.
-    """
-    try:
-        parts = urlsplit(url)
-        port_ok = parts.port is None or parts.port > 0
-    except ValueError:  # a port that is not a number in 0-65535, or a bad IPv6 host
-        return False
-    return parts.scheme in ("http", "https") and bool(parts.hostname) and port_ok
-
-
 def _make_backend(config: AppConfig):
     if config.mock_script is not None:
         try:
@@ -221,12 +207,8 @@ def _dataset_names(manifest: ScreeningManifest, dataset: str | None) -> list[str
     return [dataset]
 
 
-def _results_path(config: AppConfig, name: str) -> Path:
-    return config.output_dir / f"{name}_results.csv"
-
-
 def _screened_results(config: AppConfig, name: str) -> Path:
-    path = _results_path(config, name)
+    path = results_path(config.output_dir, name)
     if not path.exists():
         raise CliFailure(f"results file not found (run `screen` first): {path}")
     return path
@@ -239,16 +221,14 @@ def _write_json(path: Path, document: dict) -> None:
 def _load_records(
     config: AppConfig, manifest: ScreeningManifest, name: str, resume: bool
 ) -> list[ScreeningRecord]:
-    source = config.data_dir / f"{name}.csv"
-    resuming = resume and _results_path(config, name).exists()
-    if resuming:
-        source = _results_path(config, name)
+    results = results_path(config.output_dir, name)
+    source = results if resume and results.exists() else config.data_dir / f"{name}.csv"
     if not source.exists():
         raise CliFailure(f"dataset file not found: {source}")
     records = load_dataset(source, name, manifest)
-    if resuming:
-        # Rows a killed run journaled after its last full write of the CSV.
-        fold_journal(records, journal_path(source))
+    if resume:
+        # Rows a killed run journaled since it read the same source file.
+        fold_journal(records, journal_path(results))
     return records
 
 
@@ -291,11 +271,11 @@ def screen(dataset: str | None, resume: bool, **kwargs) -> None:
     backend = _make_backend(config)
     if not resume:
         # Up front, so a --resume after a killed run never counts a stale
-        # dataset as done. The CSV goes first: a journal without one is discarded.
+        # dataset as done, and no stale journal extends a fresh screen.
         for name in names:
-            results_path = _results_path(config, name)
-            results_path.unlink(missing_ok=True)
-            journal_path(results_path).unlink(missing_ok=True)
+            results = results_path(config.output_dir, name)
+            results.unlink(missing_ok=True)
+            journal_path(results).unlink(missing_ok=True)
     report = run_screening(
         manifest,
         datasets,
@@ -335,8 +315,11 @@ def _run_explain(
     _dataset_names(manifest, dataset)
     if sample is not None and sample < 0:
         raise CliFailure(f"--sample must be >= 0, got {sample}")
-    results_path = _screened_results(config, dataset)
-    # With the journal of a killed screen folded in, as `screen --resume` reads it.
+    results = results_path(config.output_dir, dataset)
+    # A first screen killed before its dataset ended leaves a journal and no CSV.
+    if not (results.exists() or journal_path(results).exists()):
+        raise CliFailure(f"results file not found (run `screen` first): {results}")
+    # With the journal of a killed run folded in, as `screen --resume` reads it.
     records = _load_records(config, manifest, dataset, resume=True)
 
     mode = PromptKind.EXPLAIN if mode_name == "explain" else PromptKind.REFLECT
@@ -369,7 +352,7 @@ def _run_explain(
         mode,
         dataset,
         run_log_path=config.output_dir / RUN_LOG_NAME,
-        results=(records, results_path),
+        results=(records, results),
     )
     click.echo(
         f"{dataset}: {report.annotated_count} annotated, {report.skipped_count} skipped, "

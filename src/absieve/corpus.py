@@ -11,7 +11,8 @@ The on-disk formats are plain CSV:
   bytes ``csv.writer`` writes by default (see :func:`csv_line`);
 * journal: ``<name>_results.journal.jsonl`` next to the results file, one
   ``{"row": ..., "<field>": ...}`` JSON line per row decided or annotated
-  since the results file was last written (see :func:`fold_journal`).
+  since the results file was last written, or, before it first is, since
+  the dataset file was read (see :func:`fold_journal`).
 
 Every CSV is read through :func:`read_rows`, which streams the data rows one
 at a time: a reader keeps only what it extracts, so its memory does not
@@ -442,9 +443,14 @@ def write_results(records: Iterable[ScreeningRecord], path: str | Path) -> None:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
-def journal_path(results_path: str | Path) -> Path:
+def results_path(output_dir: str | Path, name: str) -> Path:
+    """The results CSV of dataset ``name`` in ``output_dir``."""
+    return Path(output_dir) / f"{name}_results.csv"
+
+
+def journal_path(results_csv: str | Path) -> Path:
     """The journal that belongs to a results CSV."""
-    return Path(results_path).with_suffix(".journal.jsonl")
+    return Path(results_csv).with_suffix(".journal.jsonl")
 
 
 def journal_entry(record: ScreeningRecord, field: str = "decision") -> str:

@@ -131,6 +131,20 @@ def _origin(url: str) -> tuple[str, str | None, int | None] | None:
     return parts.scheme, parts.hostname, port
 
 
+def is_http_url(url: str) -> bool:
+    """Whether urllib can post to ``url``: an http(s) scheme, a host and a usable port.
+
+    Anything else would fail every call with an error urllib raises as
+    ``ValueError``, which would be retried as transient.
+    """
+    try:
+        parts = urlsplit(url)
+        port_ok = parts.port is None or parts.port > 0
+    except ValueError:  # a port that is not a number in 0-65535, or a bad IPv6 host
+        return False
+    return parts.scheme in ("http", "https") and bool(parts.hostname) and port_ok
+
+
 class HttpBackend:
     """OpenAI-compatible chat-completions client.
 
@@ -140,11 +154,14 @@ class HttpBackend:
     body to its ``Location``, at most ``MAX_REDIRECTS`` times; urllib itself
     follows 301/302/303 as a GET. The bearer token comes from the environment
     (never from a config file) and is sent only to ``base_url``'s scheme, host
-    and port; a missing credential fails construction, before any network
-    traffic.
+    and port. A ``base_url`` that :func:`is_http_url` rejects raises
+    ``ValueError``, and a missing credential :class:`AuthMissing`, at
+    construction, before any network traffic.
     """
 
     def __init__(self, base_url: str, api_key_env: str = API_KEY_ENV, timeout_s: float = 120.0):
+        if not is_http_url(base_url):
+            raise ValueError(f"base_url must be an http:// or https:// URL with a host, got {base_url!r}")
         key = os.environ.get(api_key_env, "")
         if not key:
             raise AuthMissing(f"environment variable {api_key_env} is not set")
@@ -155,7 +172,7 @@ class HttpBackend:
         import urllib.request
 
         self._urllib = urllib
-        # Failing to connect, send or read, or a URL urllib cannot parse (ValueError).
+        # Failing to connect, send or read, or a redirect target urllib cannot parse (ValueError).
         self._transport_errors = (OSError, http.client.HTTPException, ValueError)
         self._url = base_url.rstrip("/") + "/v1/chat/completions"
         self._origin = _origin(self._url)

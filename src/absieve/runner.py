@@ -18,12 +18,11 @@ row stays flat as a dataset grows.
 
 They also share one writer, ``_journaled``: an append-only journal gets one
 line per finished row, so persisting a row costs the same at any dataset
-size, and the results CSV is written in full (an atomic replace) when a run
-ends, done or interrupted. A journal always extends the CSV at its path: a
-run that finds a CSV there read its records from it, with any journal left
-by a killed run folded in, and appends to that journal; only a run that
-finds no CSV writes its records first and starts an empty journal. So after
-an interrupt anywhere a rerun reaches the same file.
+size, and the results CSV is written in full (an atomic replace) once, when
+a run ends, done or interrupted. A journal extends the file its run read the
+records from: the results CSV, or the dataset file while no results CSV
+exists yet. A run folds in any journal left by a killed run and appends to
+it, so after an interrupt anywhere a rerun reaches the same file.
 """
 
 from __future__ import annotations
@@ -47,6 +46,7 @@ from .corpus import (
     ScreeningRecord,
     journal_entry,
     journal_path,
+    results_path,
     write_results,
 )
 from .llm import (
@@ -368,28 +368,20 @@ def _decided(text: str) -> tuple[Decision, bool]:
 def _journaled(records: Sequence[ScreeningRecord], path: Path) -> Iterator[TextIO]:
     """Yield the journal for finished rows; then write ``records`` to the CSV at ``path``.
 
-    A journal always extends the CSV under it. With no CSV at ``path``,
-    ``records`` are written there first and the journal starts empty (a
-    journal orphaned by a deleted CSV is discarded). A CSV at ``path`` must
-    be the one ``records`` were read from, with any leftover journal folded
-    in: that journal is kept, cut after its last newline (a torn last line is
-    one ``fold_journal`` ignores), and appended to. Each journal line reaches
-    the file as it is written. The journal is closed before the final write,
-    so if that fails the journal on disk still holds every finished row for
-    the next run.
+    Any journal already at ``path`` must be folded into ``records``: it is
+    kept, cut after its last newline (a torn last line is one
+    ``fold_journal`` ignores), and appended to. Each journal line reaches the
+    file as it is written. The journal is closed before the final write, so
+    if that fails the journal on disk still holds every finished row for the
+    next run.
     """
     journal_file = journal_path(path)
-    if path.exists():
-        mode = "a"
-        try:
-            with open(journal_file, "r+b") as leftover:
-                leftover.truncate(leftover.read().rfind(b"\n") + 1)
-        except FileNotFoundError:
-            pass
-    else:
-        mode = "w"
-        write_results(records, path)
-    journal = open(journal_file, mode, encoding="ascii", buffering=1)
+    try:
+        with open(journal_file, "r+b") as leftover:
+            leftover.truncate(leftover.read().rfind(b"\n") + 1)
+    except FileNotFoundError:
+        pass
+    journal = open(journal_file, "a", encoding="ascii", buffering=1)
     try:
         yield journal
     finally:
@@ -456,19 +448,19 @@ def run_screening(
     """Screen every undecided row of every dataset and checkpoint as we go.
 
     Rows that already carry a model decision are skipped (that is the whole
-    resume contract). Results land in ``output_dir/<name>_results.csv``,
-    written in full when a dataset ends or the run is interrupted, and also
-    when a dataset starts if no results CSV is there yet. Each completed row
-    appends a line to ``<name>_results.journal.jsonl`` that reaches the file
-    as it is written, so a crash loses no finished row; the journal is
-    removed once the CSV holds its rows.
-    Output row order is input row order regardless of completion order.
+    resume contract); only a row with no decision is screened, so a row that
+    ended ``error`` or ``unparseable`` is never asked again. Results land in
+    ``output_dir/<name>_results.csv``, written in full once, when a dataset
+    ends or the run is interrupted. Each completed row appends a line to
+    ``<name>_results.journal.jsonl`` that reaches the file as it is written,
+    so a crash loses no finished row; the journal is removed once the CSV
+    holds its rows. Output row order is input row order regardless of
+    completion order.
 
-    A results CSV already at a dataset's path must hold that dataset's
-    records, as read from it with any leftover journal folded in: the
-    journal extends that file rather than replacing it. To screen afresh,
-    remove the CSV and its journal first, as ``absieve screen`` without
-    ``--resume`` does.
+    A journal already at a dataset's path must be folded into its records,
+    as ``absieve screen --resume`` reads them: the run appends to it. To
+    screen afresh, remove the CSV and its journal first, as ``absieve
+    screen`` without ``--resume`` does.
     """
     config.validate()
     out_dir = Path(output_dir)
@@ -487,7 +479,7 @@ def run_screening(
                 config,
                 limiter,
                 log,
-                out_dir / f"{name}_results.csv",
+                results_path(out_dir, name),
                 report,
             )
 
@@ -537,9 +529,9 @@ def run_explanations(
     limit, retries and backoff as screening; any reply is accepted, so there
     is no re-ask.
 
-    ``results`` is ``(table, path)``: the dataset the records belong to, read
-    from the results CSV at ``path`` with any leftover journal folded in, for
-    :func:`_journaled` to persist each annotation as screening persists rows.
+    ``results`` is ``(table, path)``: the dataset the records belong to, with
+    any journal at the results CSV ``path`` folded in, for :func:`_journaled`
+    to persist each annotation as screening persists rows.
     """
     if mode not in (PromptKind.EXPLAIN, PromptKind.REFLECT):
         raise ValueError(f"mode must be EXPLAIN or REFLECT, got {mode}")

@@ -25,11 +25,14 @@ from absieve.corpus import (
     Decision,
     ManifestEntry,
     ScreeningManifest,
+    ScreeningRecord,
     clean_text,
     fold_journal,
     load_dataset,
 )
-from absieve.runner import RunConfig
+from absieve.llm import MockBackend
+from absieve.prompts import PromptKind
+from absieve.runner import RunConfig, eligible_for
 from conftest import (
     read_csv_rows,
     reported_unraisable,
@@ -208,6 +211,24 @@ class TestJournal:
         assert read_csv_rows(out / "IVM_results.csv")[0]["decision"] == "included"
         assert not (out / "IVM_results.journal.jsonl").exists()
 
+    def test_non_resume_screen_journals_afresh(self, tmp_path, monkeypatch):
+        # Every run appends to the journal it finds, so a stale one must be gone
+        # before the first call, or a kill now would leave it for --resume to fold.
+        config = make_workspace(tmp_path)
+        journal = tmp_path / "out" / "IVM_results.journal.jsonl"
+        journal.parent.mkdir()
+        journal.write_text('{"row": 0, "decision": "excluded"}\n')
+        seen = []
+        complete = MockBackend.complete
+
+        def watching(self, request):
+            seen.append(journal.read_text())
+            return complete(self, request)
+
+        monkeypatch.setattr(MockBackend, "complete", watching)
+        assert invoke(config, "screen", "--max-in-flight", "1").exit_code == 0
+        assert seen[0] == ""
+
     def test_resume_folds_leftover_journal(self, tmp_path):
         config = make_workspace(tmp_path)
         out = tmp_path / "out"
@@ -268,11 +289,13 @@ class TestJournal:
             child.wait()
         assert child.returncode == -signal.SIGKILL
 
-        # Every journaled row survives the kill, although the CSV was only written at the start.
+        # Every journaled row survives the kill, although no CSV was written yet:
+        # the journal extends the dataset file.
+        assert not (killed / "out" / "IVM_results.csv").exists()
         manifest = ScreeningManifest(
             tuple(ManifestEntry(name, CriteriaSet("i", "e")) for name in datasets)
         )
-        records = load_dataset(killed / "out" / "IVM_results.csv", "IVM", manifest)
+        records = load_dataset(killed / "data" / "IVM.csv", "IVM", manifest)
         assert not any(r.model_decision for r in records)
         assert fold_journal(records, journal) >= kill_after
         assert not (killed / "out" / "OTHER_results.csv").exists()
@@ -412,7 +435,7 @@ class TestJournal:
 
         # The older run's results went before the first call, not when each dataset's turn came.
         assert not (out / "OTHER_results.csv").exists()
-        assert not any(row["decision"] for row in read_csv_rows(out / "IVM_results.csv"))
+        assert not (out / "IVM_results.csv").exists()
         result = invoke(config, "screen", "--resume")
         assert result.exit_code == 0, result.output
         for name in datasets:
@@ -575,11 +598,11 @@ def results_writes(monkeypatch) -> list[Path]:
 
 
 class TestResultsWrites:
-    def test_screen_writes_each_results_file_twice(self, tmp_path, results_writes):
+    def test_screen_writes_each_results_file_once(self, tmp_path, results_writes):
         config = make_workspace(tmp_path, datasets={"IVM": DEFAULT_ROWS, "OTHER": DEFAULT_ROWS})
         assert invoke(config, "screen").exit_code == 0
         out = tmp_path / "out"
-        assert results_writes == [out / "IVM_results.csv"] * 2 + [out / "OTHER_results.csv"] * 2
+        assert results_writes == [out / "IVM_results.csv", out / "OTHER_results.csv"]
 
     @pytest.mark.parametrize("command", ["explain", "reflect"])
     def test_annotation_writes_results_once(self, tmp_path, results_writes, command):
@@ -616,6 +639,68 @@ class TestResultsWrites:
         assert [r["decision"] for r in read_csv_rows(out / "IVM_results.csv")] == [
             "included", "excluded", "included", "excluded"
         ]
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="needs SIGKILL")
+class TestKilledFirstScreen:
+    """A first screen killed before any results CSV exists leaves only its journal."""
+
+    def _killed(self, tmp_path: Path) -> tuple[Path, list[ScreeningRecord]]:
+        """The config of a workspace in that state, and the records its journal extends."""
+        config = make_workspace(
+            tmp_path,
+            datasets={"IVM": ANNOTATE_ROWS},
+            script=dict(ANNOTATE_SCREEN),
+            runner_options={"max_in_flight": 1},
+        )
+        out = tmp_path / "out"
+        journal = out / "IVM_results.journal.jsonl"
+        child = _slow_child(config, journal, 3, "screen")
+        try:
+            child.send_signal(signal.SIGKILL)
+        finally:
+            child.kill()
+            child.wait()
+        assert child.returncode == -signal.SIGKILL
+        assert [p.name for p in out.glob("IVM_results*")] == [journal.name]
+        manifest = ScreeningManifest((ManifestEntry("IVM", CriteriaSet("i", "e")),))
+        records = load_dataset(tmp_path / "data" / "IVM.csv", "IVM", manifest)
+        assert fold_journal(records, journal) >= 3
+        return config, records
+
+    @pytest.mark.parametrize("command", ["explain", "reflect"])
+    def test_annotation_writes_the_csv_once_from_the_journal(self, tmp_path, results_writes, command):
+        config, screened = self._killed(tmp_path)
+        out = tmp_path / "out"
+        replies = write_mock_script(tmp_path / "replies.json", ANNOTATE_REPLIES)
+        result = invoke(config, command, "--dataset", "IVM", "--mock-script", str(replies))
+        assert result.exit_code == 0, result.output
+        assert results_writes == [out / "IVM_results.csv"]
+        assert not list(out.glob("*.journal.jsonl"))
+
+        mode = PromptKind.EXPLAIN if command == "explain" else PromptKind.REFLECT
+        column = "explanation" if command == "explain" else "reflection"
+        rows = read_csv_rows(out / "IVM_results.csv")
+        assert [row["decision"] for row in rows] == [
+            r.model_decision.value if r.model_decision else "" for r in screened
+        ]
+        annotated = [n for n, row in enumerate(rows) if row[column]]
+        assert annotated == [r.row_index for r in screened if eligible_for(mode, r)] != []
+
+    def test_evaluate_still_asks_for_a_screen(self, tmp_path):
+        config, _ = self._killed(tmp_path)
+        result = invoke(config, "evaluate", "--all")
+        assert result.exit_code == 2
+        assert "results file not found (run `screen` first)" in result.output
+
+    def test_resume_asks_no_journaled_row_again(self, tmp_path):
+        config, screened = self._killed(tmp_path)
+        log = tmp_path / "out" / "run_log.jsonl"
+        killed_calls = len(log.read_text().splitlines())
+        assert invoke(config, "screen", "--resume").exit_code == 0
+        rerun = [json.loads(line) for line in log.read_text().splitlines()[killed_calls:]]
+        decided = {r.row_index for r in screened if r.model_decision}
+        assert {c["row"] for c in rerun} == set(range(len(screened))) - decided
 
 
 class TestExplainReflect:

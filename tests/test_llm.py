@@ -387,10 +387,11 @@ class TestHttpTransport:
                 HttpBackend(url).complete(request_for())
 
     @pytest.mark.parametrize("base_url", ["api.example.com", "127.0.0.1:9"])
-    def test_base_url_without_scheme_is_transient(self, monkeypatch, base_url):
+    def test_base_url_without_scheme_raises_at_construction(self, monkeypatch, base_url):
+        # urllib cannot post to it, so every call would fail and be retried.
         monkeypatch.setenv("ABSIEVE_API_KEY", "k")
-        with pytest.raises(TransientBackendError):
-            HttpBackend(base_url).complete(request_for())
+        with pytest.raises(ValueError, match=f"got {base_url!r}"):
+            HttpBackend(base_url)
 
     def test_client_error_message_has_status_and_start_of_body(self, http_server, monkeypatch):
         url, handler = http_server

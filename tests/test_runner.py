@@ -633,12 +633,14 @@ class TestCheckpointing:
                 seen.append(journal.read_text().splitlines())
                 return CompletionResult("included" if request.row_index == 1 else "excluded", 1, 1, 0.0)
 
-        journal.write_text('{"row": 2, "decision": "error"}\n')  # left by an older run
+        journal.write_text('{"row": 2, "decision": "error"}\n')  # left by a killed run
         records = make_records(4)
         records[3].model_decision = Decision.EXCLUDED
+        assert fold_journal(records, journal) == 1  # as `screen --resume` reads the dataset
         run_screening(MANIFEST, {"D": records}, Watcher(), fast_config(max_in_flight=1), tmp_path)
-        assert seen[0] == []  # a fresh journal per dataset
+        assert seen[0] == ['{"row": 2, "decision": "error"}']  # the leftover journal is extended
         assert set(seen[-1]) <= {
+            '{"row": 2, "decision": "error"}',
             '{"row": 0, "decision": "excluded"}',
             '{"row": 1, "decision": "included"}',
         }
@@ -650,13 +652,13 @@ class TestCheckpointing:
         real_write = absieve.runner.write_results
         writes = []
 
-        def fails_second_write(records, path):
+        def fails_first_write(records, path):
             writes.append(path)
-            if len(writes) == 2:
+            if len(writes) == 1:
                 raise IoFailure(f"cannot write {path}: disk full")
             real_write(records, path)
 
-        monkeypatch.setattr(absieve.runner, "write_results", fails_second_write)
+        monkeypatch.setattr(absieve.runner, "write_results", fails_first_write)
         script = {"default": "excluded", "D/3": "included", "D/17": "included"}
         with pytest.raises(IoFailure) as held:
             run_screening(
