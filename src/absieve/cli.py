@@ -11,7 +11,6 @@ per-row errors, 2 usage or configuration failure.
 from __future__ import annotations
 
 import configparser
-import csv
 import json
 import random
 import sys
@@ -29,7 +28,9 @@ from .corpus import (
     Decision,
     ScreeningManifest,
     ScreeningRecord,
+    _decision_key,
     clean_text,
+    csv_line,
     fold_journal,
     header_index,
     journal_path,
@@ -205,13 +206,6 @@ def _dataset_names(manifest: ScreeningManifest, dataset: str | None) -> list[str
     if dataset not in manifest:
         raise CliFailure(f"dataset {dataset!r} is not listed in the manifest")
     return [dataset]
-
-
-def _screened_results(config: AppConfig, name: str) -> Path:
-    path = results_path(config.output_dir, name)
-    if not path.exists():
-        raise CliFailure(f"results file not found (run `screen` first): {path}")
-    return path
 
 
 def _write_json(path: Path, document: dict) -> None:
@@ -417,17 +411,9 @@ def _decision_columns(
         pred: list[Decision | None] = []
         for row in rows:
             width = len(row)
-            truth.append(_decision_or_none(row[truth_pos]) if truth_pos < width else None)
-            pred.append(_decision_or_none(row[pred_pos]) if pred_pos < width else None)
+            truth.append(DECISION_CELLS.get(_decision_key(row[truth_pos])) if truth_pos < width else None)
+            pred.append(DECISION_CELLS.get(_decision_key(row[pred_pos])) if pred_pos < width else None)
     return truth, pred
-
-
-def _decision_or_none(cell: str) -> Decision | None:
-    # A cell as write_results writes it needs no cleaning; any other spelling
-    # is cleaned and lowercased, and a token that is no decision is missing.
-    if cell in DECISION_CELLS:
-        return DECISION_CELLS[cell]
-    return DECISION_CELLS.get(clean_text(cell).lower())
 
 
 def _format_ratio(value: float | None) -> str:
@@ -496,7 +482,10 @@ def evaluate(dataset: str | None, evaluate_all: bool, truth: str, pred: str, **k
 
     per_dataset: list[metrics_mod.DatasetMetrics] = []
     for name in names:
-        truth_col, pred_col = _decision_columns(_screened_results(config, name), truth, pred)
+        path = results_path(config.output_dir, name)
+        if not path.exists():
+            raise CliFailure(f"results file not found (run `screen` first): {path}")
+        truth_col, pred_col = _decision_columns(path, truth, pred)
         try:
             per_dataset.append(metrics_mod.DatasetMetrics.from_decisions(name, truth_col, pred_col))
         except metrics_mod.EmptyMatrix:
@@ -505,10 +494,9 @@ def evaluate(dataset: str | None, evaluate_all: bool, truth: str, pred: str, **k
             )
 
         cm = per_dataset[-1].confusion
-        with open(config.output_dir / f"{name}_confusion.csv", "w", newline="", encoding="ascii") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["dataset", "tp", "fn", "fp", "tn", "dropped", "n"])
-            writer.writerow([name, cm.tp, cm.fn, cm.fp, cm.tn, cm.dropped, cm.n])
+        header = csv_line(["dataset", "tp", "fn", "fp", "tn", "dropped", "n"])
+        row = csv_line([name, *map(str, (cm.tp, cm.fn, cm.fp, cm.tn, cm.dropped, cm.n))])
+        (config.output_dir / f"{name}_confusion.csv").write_text(header + row, encoding="ascii", newline="")
         (config.output_dir / f"{name}_confusion.svg").write_text(
             _confusion_svg(name, cm), encoding="ascii"
         )
@@ -536,10 +524,9 @@ def evaluate(dataset: str | None, evaluate_all: bool, truth: str, pred: str, **k
         )
         for label, m in labelled
     ]
-    with open(config.output_dir / METRICS_TABLE_NAME, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TABLE_COLUMNS)
-        writer.writerows(table)
+    (config.output_dir / METRICS_TABLE_NAME).write_text(
+        "".join(map(csv_line, [TABLE_COLUMNS, *table])), encoding="ascii", newline=""
+    )
 
     click.echo(f"{'Dataset':<28} {'Accuracy':>9} {'Sens(Inc)':>10} {'Sens(Exc)':>10} {'Kappa':>7}")
     for label, accuracy, sens_inc, sens_exc, kappa in table:

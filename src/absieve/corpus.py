@@ -219,13 +219,16 @@ def _cell(row: Sequence[str], pos: int | None) -> str:
     return row[pos]
 
 
+def _decision_key(cell: str) -> str:
+    """A decision cell's key in DECISION_CELLS: the cell as written, else cleaned and lowercased."""
+    return cell if cell in DECISION_CELLS else clean_text(cell).lower()
+
+
 def _decision_from_cell(raw: str, row: int, column: str) -> Decision | None:
-    if raw in DECISION_CELLS:
-        return DECISION_CELLS[raw]
-    value = clean_text(raw).lower()
-    if value in DECISION_CELLS:
-        return DECISION_CELLS[value]
-    raise UnparseableDecisionValue(raw, row, column)
+    key = _decision_key(raw)
+    if key not in DECISION_CELLS:
+        raise UnparseableDecisionValue(raw, row, column)
+    return DECISION_CELLS[key]
 
 
 def read_rows(path: str | Path) -> tuple[list[str], Iterator[list[str]]]:

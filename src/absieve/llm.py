@@ -228,19 +228,19 @@ class HttpBackend:
         if not isinstance(text, str):
             raise FatalBackendError("response content is not a string")
 
-        usage = body.get("usage") or {}
-        input_tokens = usage.get("prompt_tokens")
-        output_tokens = usage.get("completion_tokens")
+        usage = body.get("usage")
+        usage = usage if isinstance(usage, dict) else {}
         return CompletionResult(
             text=text,
-            input_tokens=input_tokens
-            if isinstance(input_tokens, int)
-            else count_tokens_estimate(request.prompt.body),
-            output_tokens=output_tokens
-            if isinstance(output_tokens, int)
-            else count_tokens_estimate(text),
+            input_tokens=_token_count(usage.get("prompt_tokens"), request.prompt.body),
+            output_tokens=_token_count(usage.get("completion_tokens"), text),
             latency_ms=latency_ms,
         )
+
+
+def _token_count(reported: object, text: str) -> int:
+    """The count a backend reported if it is an int >= 0 and not a bool, else ``text``'s estimate."""
+    return reported if type(reported) is int and reported >= 0 else count_tokens_estimate(text)
 
 
 class InjectedFailure(NamedTuple):

@@ -70,11 +70,7 @@ NARRATIVE_MAX_TOKENS = 512
 MAX_BACKOFF_S = 60.0
 
 
-class RunnerError(Exception):
-    pass
-
-
-class ConfigInvalid(RunnerError):
+class ConfigInvalid(Exception):
     pass
 
 
@@ -259,30 +255,14 @@ def _call(
         try:
             result = backend.complete(request)
         except (TransientBackendError, FatalBackendError) as exc:
-            transient = isinstance(exc, TransientBackendError)
-            log.record(
-                dataset=request.dataset_name,
-                row=request.row_index,
-                attempt=attempt,
-                latency_ms=(time.monotonic() - started) * 1000.0,
-                input_tokens=0,
-                output_tokens=0,
-                outcome="transient_error" if transient else "fatal_error",
-            )
-            if not transient:
-                return _Reply(None, input_tokens, output_tokens)
-            if reasked:
-                # The re-ask gets one shot; we already hold a rejected reply.
-                return _Reply(held, input_tokens, output_tokens)
-            if retries_used >= config.max_retries:
-                return _Reply(None, input_tokens, output_tokens)
-            _backoff_sleep(config, retries_used)
-            retries_used += 1
-            continue
-
+            # A failed attempt is logged as a reply without text or tokens.
+            result = CompletionResult("", 0, 0, (time.monotonic() - started) * 1000.0)
+            outcome = "transient_error" if isinstance(exc, TransientBackendError) else "fatal_error"
+        else:
+            value, ok = accept(result.text) if accept else (result.text, True)
+            outcome = "ok" if ok else "unparseable"
         input_tokens += result.input_tokens
         output_tokens += result.output_tokens
-        value, ok = accept(result.text) if accept else (result.text, True)
         log.record(
             dataset=request.dataset_name,
             row=request.row_index,
@@ -290,8 +270,17 @@ def _call(
             latency_ms=result.latency_ms,
             input_tokens=result.input_tokens,
             output_tokens=result.output_tokens,
-            outcome="ok" if ok else "unparseable",
+            outcome=outcome,
         )
+        if outcome == "fatal_error":
+            return _Reply(None, input_tokens, output_tokens)
+        if outcome == "transient_error":
+            if reasked or retries_used >= config.max_retries:
+                # The re-ask gets one shot; the reply held is the rejected one, if any.
+                return _Reply(held, input_tokens, output_tokens)
+            _backoff_sleep(config, retries_used)
+            retries_used += 1
+            continue
         if ok or reasked:
             return _Reply(value, input_tokens, output_tokens)
         held, reasked = value, True
@@ -390,53 +379,6 @@ def _journaled(records: Sequence[ScreeningRecord], path: Path) -> Iterator[TextI
         journal_file.unlink()
 
 
-def _screen_dataset(
-    name: str,
-    records: list[ScreeningRecord],
-    criteria: CriteriaSet,
-    backend: Backend,
-    config: RunConfig,
-    limiter: RateLimiter,
-    log: _RunLog,
-    results_path: Path,
-    report: RunReport,
-) -> DatasetStats:
-    stats = DatasetStats(rows_total=len(records))
-    stats.empty_abstract_count = sum(1 for r in records if not r.abstract)
-    pending = [r for r in records if r.model_decision is None]
-    stats.rows_skipped_resume = len(records) - len(pending)
-
-    def screen(record: ScreeningRecord) -> _Reply:
-        request = CompletionRequest(
-            model=config.model,
-            prompt=build_decision_prompt(record, criteria),
-            temperature=config.temperature,
-            max_output_tokens=DECISION_MAX_TOKENS,
-            dataset_name=name,
-            row_index=record.row_index,
-        )
-        return _call(request, backend, config, limiter, log, accept=_decided)
-
-    replies = _dispatch(config, pending, screen)
-    with _journaled(records, results_path) as journal, closing(replies):
-        for record, reply in replies:
-            decision = Decision.ERROR if reply.value is None else reply.value
-            record.model_decision = decision
-            stats.rows_screened += 1
-            if decision is Decision.INCLUDED:
-                stats.included_count += 1
-            elif decision is Decision.EXCLUDED:
-                stats.excluded_count += 1
-            elif decision is Decision.UNPARSEABLE:
-                stats.unparseable_count += 1
-            else:
-                stats.error_count += 1
-            report.input_tokens += reply.input_tokens
-            report.output_tokens += reply.output_tokens
-            journal.write(journal_entry(record))
-    return stats
-
-
 def run_screening(
     manifest: ScreeningManifest,
     datasets: Mapping[str, list[ScreeningRecord]],
@@ -471,17 +413,40 @@ def run_screening(
 
     with _RunLog(run_log_path) as log:
         for name, records in datasets.items():
-            report.datasets[name] = _screen_dataset(
-                name,
-                records,
-                manifest.criteria_for(name),
-                backend,
-                config,
-                limiter,
-                log,
-                results_path(out_dir, name),
-                report,
-            )
+            criteria = manifest.criteria_for(name)
+            stats = report.datasets[name] = DatasetStats(rows_total=len(records))
+            stats.empty_abstract_count = sum(1 for r in records if not r.abstract)
+            pending = [r for r in records if r.model_decision is None]
+            stats.rows_skipped_resume = len(records) - len(pending)
+
+            def screen(record: ScreeningRecord) -> _Reply:
+                request = CompletionRequest(
+                    model=config.model,
+                    prompt=build_decision_prompt(record, criteria),
+                    temperature=config.temperature,
+                    max_output_tokens=DECISION_MAX_TOKENS,
+                    dataset_name=name,
+                    row_index=record.row_index,
+                )
+                return _call(request, backend, config, limiter, log, accept=_decided)
+
+            replies = _dispatch(config, pending, screen)
+            with _journaled(records, results_path(out_dir, name)) as journal, closing(replies):
+                for record, reply in replies:
+                    decision = Decision.ERROR if reply.value is None else reply.value
+                    record.model_decision = decision
+                    stats.rows_screened += 1
+                    if decision is Decision.INCLUDED:
+                        stats.included_count += 1
+                    elif decision is Decision.EXCLUDED:
+                        stats.excluded_count += 1
+                    elif decision is Decision.UNPARSEABLE:
+                        stats.unparseable_count += 1
+                    else:
+                        stats.error_count += 1
+                    report.input_tokens += reply.input_tokens
+                    report.output_tokens += reply.output_tokens
+                    journal.write(journal_entry(record))
 
     report.wall_time_s = time.monotonic() - run_started
     report.estimated_cost = config.cost(report.input_tokens, report.output_tokens)
@@ -587,20 +552,6 @@ class CostEstimate(NamedTuple):
     projected_wall_time_s: float
 
 
-def _dataset_cost(
-    name: str,
-    records: Sequence[ScreeningRecord],
-    criteria: CriteriaSet,
-    config: RunConfig,
-) -> DatasetCostEstimate:
-    input_tokens = sum(
-        count_tokens_estimate(build_decision_prompt(r, criteria).body) for r in records
-    )
-    output_tokens = len(records)  # one single-word reply per row
-    cost = config.cost(input_tokens, output_tokens)
-    return DatasetCostEstimate(name, len(records), input_tokens, output_tokens, cost)
-
-
 def estimate_cost(
     manifest: ScreeningManifest,
     datasets: Mapping[str, Sequence[ScreeningRecord]],
@@ -613,13 +564,16 @@ def estimate_cost(
     lower bound set by the request rate limit alone, ignoring latency.
     """
     config.validate()
-    per_dataset = tuple(
-        _dataset_cost(name, records, manifest.criteria_for(name), config)
-        for name, records in datasets.items()
-    )
+    per_dataset = []
+    for name, records in datasets.items():
+        criteria = manifest.criteria_for(name)
+        input_tokens = sum(count_tokens_estimate(build_decision_prompt(r, criteria).body) for r in records)
+        output_tokens = len(records)  # one single-word reply per row
+        cost = config.cost(input_tokens, output_tokens)
+        per_dataset.append(DatasetCostEstimate(name, len(records), input_tokens, output_tokens, cost))
     total_rows = sum(d.rows for d in per_dataset)
     return CostEstimate(
-        per_dataset=per_dataset,
+        per_dataset=tuple(per_dataset),
         total_input_tokens=sum(d.input_tokens for d in per_dataset),
         total_output_tokens=sum(d.output_tokens for d in per_dataset),
         cost=sum(d.cost for d in per_dataset),
