@@ -38,6 +38,7 @@ from .corpus import (
     load_manifest,
     read_rows,
     results_path,
+    write_file,
 )
 from .llm import AuthMissing, HttpBackend, MockBackend, MockScript, is_http_url
 from .prompts import PromptKind
@@ -208,10 +209,6 @@ def _dataset_names(manifest: ScreeningManifest, dataset: str | None) -> list[str
     return [dataset]
 
 
-def _write_json(path: Path, document: dict) -> None:
-    path.write_text(json.dumps(document, indent=2) + "\n", encoding="ascii")
-
-
 def _load_records(
     config: AppConfig, manifest: ScreeningManifest, name: str, resume: bool
 ) -> list[ScreeningRecord]:
@@ -278,7 +275,7 @@ def screen(dataset: str | None, resume: bool, **kwargs) -> None:
         config.output_dir,
         run_log_path=config.output_dir / RUN_LOG_NAME,
     )
-    _write_json(config.output_dir / RUN_REPORT_NAME, report.to_dict())
+    write_file(config.output_dir / RUN_REPORT_NAME, [json.dumps(report.to_dict(), indent=2), "\n"])
     for name, stats in report.datasets.items():
         click.echo(
             f"{name}: {stats.rows_total} rows, {stats.rows_screened} screened, "
@@ -496,10 +493,8 @@ def evaluate(dataset: str | None, evaluate_all: bool, truth: str, pred: str, **k
         cm = per_dataset[-1].confusion
         header = csv_line(["dataset", "tp", "fn", "fp", "tn", "dropped", "n"])
         row = csv_line([name, *map(str, (cm.tp, cm.fn, cm.fp, cm.tn, cm.dropped, cm.n))])
-        (config.output_dir / f"{name}_confusion.csv").write_text(header + row, encoding="ascii", newline="")
-        (config.output_dir / f"{name}_confusion.svg").write_text(
-            _confusion_svg(name, cm), encoding="ascii"
-        )
+        write_file(config.output_dir / f"{name}_confusion.csv", [header, row])
+        write_file(config.output_dir / f"{name}_confusion.svg", [_confusion_svg(name, cm)])
 
     summary = metrics_mod.weighted_summary(per_dataset)
 
@@ -509,7 +504,7 @@ def evaluate(dataset: str | None, evaluate_all: bool, truth: str, pred: str, **k
         "datasets": [m.to_dict() for m in per_dataset],
         "weighted_total": summary.to_dict(),
     }
-    _write_json(config.output_dir / METRICS_JSON_NAME, document)
+    write_file(config.output_dir / METRICS_JSON_NAME, [json.dumps(document, indent=2), "\n"])
 
     # Each row is formatted once, for the CSV and the printed table alike. The
     # total's kappa is always None, so its cell reads "-".
@@ -524,9 +519,7 @@ def evaluate(dataset: str | None, evaluate_all: bool, truth: str, pred: str, **k
         )
         for label, m in labelled
     ]
-    (config.output_dir / METRICS_TABLE_NAME).write_text(
-        "".join(map(csv_line, [TABLE_COLUMNS, *table])), encoding="ascii", newline=""
-    )
+    write_file(config.output_dir / METRICS_TABLE_NAME, map(csv_line, [TABLE_COLUMNS, *table]))
 
     click.echo(f"{'Dataset':<28} {'Accuracy':>9} {'Sens(Inc)':>10} {'Sens(Exc)':>10} {'Kappa':>7}")
     for label, accuracy, sens_inc, sens_exc, kappa in table:
@@ -546,7 +539,7 @@ def estimate_cost_cmd(**kwargs) -> None:
     }
     estimate = estimate_cost(manifest, datasets, config.run)
     document = {**estimate._asdict(), "per_dataset": [d._asdict() for d in estimate.per_dataset]}
-    _write_json(config.output_dir / ESTIMATE_JSON_NAME, document)
+    write_file(config.output_dir / ESTIMATE_JSON_NAME, [json.dumps(document, indent=2), "\n"])
     for d in estimate.per_dataset:
         click.echo(
             f"{d.dataset_name}: {d.rows} rows, {d.input_tokens} input tokens, "

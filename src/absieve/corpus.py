@@ -7,8 +7,8 @@ The on-disk formats are plain CSV:
   since it appears in real manifests in the wild);
 * dataset: header ``title,abstract`` with optional ``human_decision``,
   ``decision``, ``explanation`` and ``reflection`` columns;
-* results: all six columns, always written, atomically replaced, in the
-  bytes ``csv.writer`` writes by default (see :func:`csv_line`);
+* results: all six columns, always written, in the bytes ``csv.writer``
+  writes by default (see :func:`csv_line`);
 * journal: ``<name>_results.journal.jsonl`` next to the results file, one
   ``{"row": ..., "<field>": ...}`` JSON line per row decided or annotated
   since the results file was last written, or, before it first is, since
@@ -18,7 +18,9 @@ Every CSV is read through :func:`read_rows`, which streams the data rows one
 at a time: a reader keeps only what it extracts, so its memory does not
 depend on the file's size. Input must be UTF-8 (a BOM is allowed); a file that
 is not, or that the csv module cannot parse, raises :class:`MalformedCsv`
-naming its path and line.
+naming its path and line. Every output file, the CLI's too, is written whole
+by :func:`write_file` (a temporary file renamed over the old one); a write
+that fails raises :class:`IoFailure`.
 
 All text passes through :func:`clean_text`, so anything we write back out is
 single-line printable ASCII regardless of the input encoding.
@@ -31,8 +33,9 @@ import enum
 import json
 import os
 import re
-from contextlib import closing
+from contextlib import closing, suppress
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -399,51 +402,55 @@ def _csv_cell(text: str) -> str:
     return text
 
 
+def write_file(path: str | Path, lines: Iterable[str]) -> None:
+    """Write ``lines`` to ``path`` as ASCII, atomically replacing it.
+
+    This is how every output file is made. The lines stream to a temporary
+    file in the same directory, renamed over ``path`` at the end, so a crash
+    never leaves a truncated file; its mode follows the umask, as ``open``'s
+    does. On any exception the temporary file is removed, and an
+    :class:`OSError` is raised as :class:`IoFailure` naming ``path``.
+    """
+    path = Path(path)
+    try:
+        # Mode 0o666 less the umask, as open() gives (mkstemp's is 0600); 48 random bits keep the name unused.
+        tmp_name = str(path.parent / f"{path.name}.{os.urandom(6).hex()}.tmp")
+        fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "w", newline="", encoding="ascii") as fh:
+                fh.writelines(lines)
+            os.replace(tmp_name, path)
+        except BaseException:
+            with suppress(OSError):
+                os.unlink(tmp_name)
+            raise
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
+
+
 def write_results(records: Iterable[ScreeningRecord], path: str | Path) -> None:
-    """Write records as a results CSV, atomically replacing ``path``.
+    """Write records as a results CSV through :func:`write_file`.
 
     Rows are emitted in ``row_index`` order with all six columns. Missing
     decisions and annotations become empty cells, and the four text cells
     pass through :func:`clean_text`, so the file is printable ASCII. Each row
     is encoded by :func:`csv_line` and streamed to the file line by line, so
     the bytes equal ``csv.writer``'s and the file never sits in memory whole.
-    The write goes to a temporary file in the destination directory followed
-    by a rename, so a crash mid-write can never leave a truncated results
-    file behind. The file's mode follows the umask, as for a file ``open``
-    creates.
     """
-    ordered = sorted(records, key=lambda r: r.row_index)
-    path = Path(path)
-    try:
-        # Created as open() creates a file, so its mode follows the umask
-        # (tempfile.mkstemp's is 0600). 48 random bits keep the name unused.
-        tmp_name = str(path.parent / f"{path.name}.{os.urandom(6).hex()}.tmp")
-        fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-        try:
-            with os.fdopen(fd, "w", newline="", encoding="ascii") as fh:
-                fh.write(csv_line(RESULT_COLUMNS))
-                fh.writelines(
-                    csv_line(
-                        (
-                            clean_text(record.title),
-                            clean_text(record.abstract),
-                            record.human_decision.value if record.human_decision else "",
-                            record.model_decision.value if record.model_decision else "",
-                            clean_text(record.explanation or ""),
-                            clean_text(record.reflection or ""),
-                        )
-                    )
-                    for record in ordered
-                )
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    rows = (
+        csv_line(
+            (
+                clean_text(record.title),
+                clean_text(record.abstract),
+                record.human_decision.value if record.human_decision else "",
+                record.model_decision.value if record.model_decision else "",
+                clean_text(record.explanation or ""),
+                clean_text(record.reflection or ""),
+            )
+        )
+        for record in sorted(records, key=lambda r: r.row_index)
+    )
+    write_file(path, chain((csv_line(RESULT_COLUMNS),), rows))
 
 
 def results_path(output_dir: str | Path, name: str) -> Path:

@@ -8,13 +8,23 @@ here whatever the machine's speed.
 
 from __future__ import annotations
 
+import json
+import os
+import threading
 from collections import Counter
 
 import pytest
 
 import absieve.corpus
 import absieve.runner
-from absieve.corpus import CriteriaSet, ManifestEntry, ScreeningManifest, load_dataset, results_path
+from absieve.corpus import (
+    CriteriaSet,
+    ManifestEntry,
+    ScreeningManifest,
+    journal_path,
+    load_dataset,
+    results_path,
+)
 from absieve.llm import MockBackend, MockScript
 from absieve.prompts import PromptKind
 from absieve.runner import RunConfig, run_explanations, run_screening
@@ -25,20 +35,29 @@ MANIFEST = ScreeningManifest((ManifestEntry("D", CriteriaSet("inc", "exc")),))
 # Row 0 is asked twice and stays unparseable; row 1 fails once with a 503 first.
 SCRIPT = {"default": "included", "D/0": "no idea", "failures": {"D/1": {"status": 503, "count": 1}}}
 CONFIG = RunConfig(requests_per_minute=10**9, max_in_flight=2, backoff_base_s=0.0)
+# A journal line is ``{"row": <index>, "<field>": "<value>"}`` and a newline:
+# 41 bytes at most for this script's values and rows below 10,000.
+JOURNAL_BYTES_PER_ROW = 48
 
 
 class Counts:
-    """Calls of the counted functions, and files opened by ``corpus`` and ``runner``."""
+    """Calls of the counted functions, files opened by ``corpus`` and ``runner``, and journal bytes.
+
+    ``journal_bytes`` is the size of each journal when its results CSV is
+    written, which is the whole journal: it is removed right after.
+    """
 
     def __init__(self, corpus_files: list):
         self.calls: Counter = Counter()
         self.opened = [corpus_files, []]
+        self.journal_bytes = 0
 
     def files(self) -> int:
         return sum(map(len, self.opened))
 
     def reset(self) -> None:
         self.calls.clear()
+        self.journal_bytes = 0
         for opened in self.opened:
             opened.clear()
 
@@ -46,12 +65,14 @@ class Counts:
 @pytest.fixture
 def counts(monkeypatch, corpus_files) -> Counts:
     counts = Counts(corpus_files)
+    lock = threading.Lock()  # run-log lines are encoded on worker threads
 
     def count(module, name):
         real = getattr(module, name)
 
         def counted(*args, **kwargs):
-            counts.calls[name] += 1
+            with lock:
+                counts.calls[name] += 1
             return real(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
@@ -59,6 +80,18 @@ def counts(monkeypatch, corpus_files) -> Counts:
     count(absieve.corpus, "clean_text")
     for name in ("build_decision_prompt", "build_explain_prompt", "journal_entry"):
         count(absieve.runner, name)
+    # The run-log lines and journal entries both encode through json.dumps,
+    # and every whole output file is renamed into place by os.replace.
+    count(json, "dumps")
+    count(os, "replace")
+
+    real_write = absieve.runner.write_results
+
+    def sized_write(records, path):
+        counts.journal_bytes += journal_path(path).stat().st_size
+        real_write(records, path)
+
+    monkeypatch.setattr(absieve.runner, "write_results", sized_write)
 
     def tracked_open(*args, **kwargs):
         fh = open(*args, **kwargs)
@@ -97,7 +130,10 @@ def test_per_row_operation_counts(tmp_path, counts, results_writes, n):  # noqa:
     assert screen_calls == n + 2  # the re-ask of row 0 and the retry of row 1
     assert counts.calls["clean_text"] <= 4 * n
     assert results_writes == [results_path(out, "D")]
+    assert counts.calls["replace"] == 1
     assert counts.calls["journal_entry"] <= n
+    assert counts.journal_bytes <= JOURNAL_BYTES_PER_ROW * n
+    assert counts.calls["dumps"] <= screen_calls + n
     assert log_lines(run_log) == screen_calls
     assert counts.calls["build_decision_prompt"] == n
     assert counts.files() <= 3
@@ -118,7 +154,10 @@ def test_per_row_operation_counts(tmp_path, counts, results_writes, n):  # noqa:
     assert report.annotated_count == explain_calls == n - 1  # every row but the unparseable one
     assert counts.calls["clean_text"] <= 4 * n
     assert results_writes == [results_path(out, "D")]
+    assert counts.calls["replace"] == 1
     assert counts.calls["journal_entry"] <= n
+    assert counts.journal_bytes <= JOURNAL_BYTES_PER_ROW * explain_calls
+    assert counts.calls["dumps"] <= 2 * explain_calls
     assert log_lines(run_log) == screen_calls + explain_calls
     assert counts.calls["build_explain_prompt"] == explain_calls
     assert counts.files() <= 3
