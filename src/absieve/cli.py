@@ -28,6 +28,7 @@ from .corpus import (
     Decision,
     ScreeningManifest,
     ScreeningRecord,
+    UnknownDataset,
     _decision_key,
     clean_text,
     csv_line,
@@ -40,7 +41,7 @@ from .corpus import (
     results_path,
     write_file,
 )
-from .llm import AuthMissing, HttpBackend, MockBackend, MockScript, is_http_url
+from .llm import API_KEY_ENV, AuthMissing, HttpBackend, MockBackend, MockScript, is_http_url
 from .prompts import PromptKind
 from .runner import (
     ConfigInvalid,
@@ -112,13 +113,14 @@ _SETTINGS = (
 )
 
 
-def load_app_config(path: Path, overrides: dict[str, str | None]) -> AppConfig:
+def load_app_config(options: dict) -> AppConfig:
     """Parse the INI config, apply flag overrides, and validate.
 
-    ``overrides`` maps a setting's key to its flag value. A flag value wins
-    over the INI value, and an empty value counts as unset. A setting that
-    is a :class:`RunConfig` field is converted to the type of its default.
+    ``options`` maps ``config_path`` to the INI file, which is popped, and each
+    setting's key to its flag value. A flag value wins over the INI value and an
+    empty value counts as unset; a :class:`RunConfig` field takes its default's type.
     """
+    path = options.pop("config_path")
     parser = configparser.ConfigParser()
     if not path.exists():
         raise CliFailure(f"config file not found: {path}")
@@ -133,7 +135,7 @@ def load_app_config(path: Path, overrides: dict[str, str | None]) -> AppConfig:
     run = RunConfig()
     values: dict[str, str | None] = {}
     for section, key, _, _ in _SETTINGS:
-        value = overrides.get(key) or parser.get(section, key, fallback="").strip() or None
+        value = options.get(key) or parser.get(section, key, fallback="").strip() or None
         if value is None or key not in vars(run):
             values[key] = value
             continue
@@ -177,7 +179,7 @@ def load_app_config(path: Path, overrides: dict[str, str | None]) -> AppConfig:
     return AppConfig(
         base_url=base_url,
         mock_script=mock_path,
-        credential_env=values["credential_env"] or "ABSIEVE_API_KEY",
+        credential_env=values["credential_env"] or API_KEY_ENV,
         run=run,
         manifest_path=manifest_path,
         data_dir=data_path,
@@ -205,7 +207,7 @@ def _dataset_names(manifest: ScreeningManifest, dataset: str | None) -> list[str
     if dataset is None:
         return list(manifest.names())
     if dataset not in manifest:
-        raise CliFailure(f"dataset {dataset!r} is not listed in the manifest")
+        raise UnknownDataset(dataset)
     return [dataset]
 
 
@@ -237,12 +239,6 @@ def config_options(command):
     )(command)
 
 
-def _split_config_kwargs(kwargs: dict) -> AppConfig:
-    # What is left after the config path is exactly the flag overrides.
-    config_path = kwargs.pop("config_path")
-    return load_app_config(config_path, kwargs)
-
-
 @click.group(cls=_Main)
 @click.version_option(__version__)
 def main() -> None:
@@ -255,7 +251,7 @@ def main() -> None:
 @click.option("--resume", is_flag=True, help="Continue from an existing results file.")
 def screen(dataset: str | None, resume: bool, **kwargs) -> None:
     """Run the screening loop and write per-dataset results CSVs."""
-    config = _split_config_kwargs(kwargs)
+    config = load_app_config(kwargs)
     manifest = _load_manifest(config)
     names = _dataset_names(manifest, dataset)
     datasets = {name: _load_records(config, manifest, name, resume) for name in names}
@@ -301,7 +297,7 @@ def _run_explain(
 ) -> None:
     if rows is not None and sample is not None:
         raise CliFailure("--rows and --sample are mutually exclusive")
-    config = _split_config_kwargs(kwargs)
+    config = load_app_config(kwargs)
     manifest = _load_manifest(config)
     _dataset_names(manifest, dataset)
     if sample is not None and sample < 0:
@@ -413,13 +409,8 @@ def _decision_columns(
     return truth, pred
 
 
-def _format_ratio(value: float | None) -> str:
-    return "-" if value is None else f"{value:.3f}"
-
-
-def _format_kappa(value: float | None) -> str:
-    # Kappa prints with two decimals in the summary table; JSON keeps full precision.
-    return "-" if value is None else f"{value:.2f}"
+def _format(value: float | None, places: int) -> str:
+    return "-" if value is None else f"{value:.{places}f}"
 
 
 def _confusion_svg(name: str, cm: metrics_mod.ConfusionMatrix) -> str:
@@ -473,7 +464,7 @@ def evaluate(dataset: str | None, evaluate_all: bool, truth: str, pred: str, **k
     """Score results files against ground truth and emit metric artifacts."""
     if dataset is not None and evaluate_all:
         raise CliFailure("--dataset and --all are mutually exclusive")
-    config = _split_config_kwargs(kwargs)
+    config = load_app_config(kwargs)
     manifest = _load_manifest(config)
     names = _dataset_names(manifest, dataset)
 
@@ -486,12 +477,12 @@ def evaluate(dataset: str | None, evaluate_all: bool, truth: str, pred: str, **k
         try:
             per_dataset.append(metrics_mod.DatasetMetrics.from_decisions(name, truth_col, pred_col))
         except metrics_mod.EmptyMatrix:
-            raise CliFailure(
-                f"{name}: no comparable rows between columns {truth!r} and {pred!r}"
-            )
+            raise CliFailure(f"{name}: no comparable rows between columns {truth!r} and {pred!r}")
 
-        cm = per_dataset[-1].confusion
-        header = csv_line(["dataset", "tp", "fn", "fp", "tn", "dropped", "n"])
+    # Written once every dataset is scored, so a failing one leaves the previous run's files.
+    header = csv_line(["dataset", "tp", "fn", "fp", "tn", "dropped", "n"])
+    for m in per_dataset:
+        name, cm = m.dataset_name, m.confusion
         row = csv_line([name, *map(str, (cm.tp, cm.fn, cm.fp, cm.tn, cm.dropped, cm.n))])
         write_file(config.output_dir / f"{name}_confusion.csv", [header, row])
         write_file(config.output_dir / f"{name}_confusion.svg", [_confusion_svg(name, cm)])
@@ -506,16 +497,16 @@ def evaluate(dataset: str | None, evaluate_all: bool, truth: str, pred: str, **k
     }
     write_file(config.output_dir / METRICS_JSON_NAME, [json.dumps(document, indent=2), "\n"])
 
-    # Each row is formatted once, for the CSV and the printed table alike. The
-    # total's kappa is always None, so its cell reads "-".
+    # Each row is formatted once, for the CSV and the printed table alike. Kappa
+    # takes two decimals (JSON keeps full precision); the total's is None, so "-".
     labelled = [(m.dataset_name, m) for m in per_dataset] + [("Total (Weighted Average)", summary)]
     table = [
         (
             label,
-            _format_ratio(m.accuracy),
-            _format_ratio(m.sensitivity_included),
-            _format_ratio(m.sensitivity_excluded),
-            _format_kappa(m.kappa),
+            _format(m.accuracy, 3),
+            _format(m.sensitivity_included, 3),
+            _format(m.sensitivity_excluded, 3),
+            _format(m.kappa, 2),
         )
         for label, m in labelled
     ]
@@ -531,7 +522,7 @@ def evaluate(dataset: str | None, evaluate_all: bool, truth: str, pred: str, **k
 @config_options
 def estimate_cost_cmd(**kwargs) -> None:
     """Project token usage, cost, and wall time for a full screening run."""
-    config = _split_config_kwargs(kwargs)
+    config = load_app_config(kwargs)
     manifest = _load_manifest(config)
     datasets = {
         name: _load_records(config, manifest, name, resume=False)

@@ -122,11 +122,11 @@ def parse_decision(text: str) -> Decision:
 
 
 def _origin(url: str) -> tuple[str, str | None, int | None] | None:
-    """Scheme, host and port of ``url`` (the default port filled in); ``None`` if unparseable."""
+    """Scheme, host and port of ``url`` (the scheme's default if it has none); ``None`` if unparseable."""
     try:
         parts = urlsplit(url)
-        port = parts.port or {"http": 80, "https": 443}.get(parts.scheme)
-    except ValueError:
+        port = {"http": 80, "https": 443}.get(parts.scheme) if parts.port is None else parts.port
+    except ValueError:  # a port that is not a number in 0-65535, or a bad IPv6 host
         return None
     return parts.scheme, parts.hostname, port
 
@@ -137,12 +137,8 @@ def is_http_url(url: str) -> bool:
     Anything else would fail every call with an error urllib raises as
     ``ValueError``, which would be retried as transient.
     """
-    try:
-        parts = urlsplit(url)
-        port_ok = parts.port is None or parts.port > 0
-    except ValueError:  # a port that is not a number in 0-65535, or a bad IPv6 host
-        return False
-    return parts.scheme in ("http", "https") and bool(parts.hostname) and port_ok
+    scheme, host, port = _origin(url) or ("", None, None)
+    return scheme in ("http", "https") and bool(host) and port != 0
 
 
 class HttpBackend:

@@ -2,8 +2,7 @@
 
 The template files under ``templates/`` are the normative byte-level
 artifacts. Rendering is a single-pass substitution: braces inside record or
-criteria text pass through untouched, and the placeholder set of each
-template is checked once at load time.
+criteria text pass through untouched.
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ from __future__ import annotations
 import enum
 from functools import lru_cache
 from importlib import resources
-from string import Formatter
 from typing import NamedTuple
 
 from .corpus import DECIDED, CriteriaSet, Decision, ScreeningRecord
@@ -44,28 +42,11 @@ class PromptText(NamedTuple):
 # prompt with the terminator stripped before the decisions are appended.
 DECISION_TERMINATOR = "\n\nDecision:"
 
-_EXPECTED_FIELDS = {
-    "decision": frozenset({"title", "abstract", "inclusion_criteria", "exclusion_criteria"}),
-    "explain": frozenset({"screening_prompt", "human_decision", "model_decision"}),
-    "reflect": frozenset({"screening_prompt", "human_decision", "model_decision"}),
-}
-
 
 @lru_cache(maxsize=None)
 def load_template(name: str) -> str:
-    """Read a golden template and verify its placeholder set."""
-    text = (
-        resources.files(__package__)
-        .joinpath("templates", f"{name}.txt")
-        .read_text(encoding="ascii")
-    )
-    fields = {f for _, f, _, _ in Formatter().parse(text) if f}
-    if fields != _EXPECTED_FIELDS[name]:
-        raise PromptError(
-            f"template {name}.txt has placeholders {sorted(fields)}, "
-            f"expected {sorted(_EXPECTED_FIELDS[name])}"
-        )
-    return text
+    """Read a golden template."""
+    return resources.files(__package__).joinpath("templates", f"{name}.txt").read_text(encoding="ascii")
 
 
 def build_decision_prompt(record: ScreeningRecord, criteria: CriteriaSet) -> PromptText:

@@ -7,14 +7,14 @@ checkpoint write happens on the coordinator, so no locking is needed around
 the records themselves.
 
 Screening and explain/reflect share one call path and one dispatcher.
-``_call`` does limiter, backend call, run-log line, transient retry with
-full-jitter backoff and fatal stop; screening adds only an "accept this
-reply?" hook that triggers its single re-ask. ``_dispatch`` runs a worker
-function over the rows on ``max_in_flight`` threads that take rows from one
-shared iterator and hand replies back through one completion queue. At most
-``2 * max_in_flight`` rows are taken ahead of the caller, and handing a
-reply back costs the same however many calls are pending, so the cost per
-row stays flat as a dataset grows.
+``_call`` builds each request and does limiter, backend call, run-log line,
+transient retry with full-jitter backoff and fatal stop; screening adds only
+an "accept this reply?" hook that triggers its single re-ask. ``_dispatch``
+runs a worker function over the rows on ``max_in_flight`` threads that take
+rows from one shared iterator and hand replies back through one completion
+queue. At most ``2 * max_in_flight`` rows are taken ahead of the caller, and
+handing a reply back costs the same however many calls are pending, so the
+cost per row stays flat as a dataset grows.
 
 They also share one writer, ``_journaled``: an append-only journal gets one
 line per finished row, so persisting a row costs the same at any dataset
@@ -59,6 +59,7 @@ from .llm import (
 )
 from .prompts import (
     PromptKind,
+    PromptText,
     build_decision_prompt,
     build_explain_prompt,
     build_reflect_prompt,
@@ -222,14 +223,17 @@ def _backoff_sleep(config: RunConfig, retry_index: int) -> None:
 
 
 def _call(
-    request: CompletionRequest,
+    dataset_name: str,
+    record: ScreeningRecord,
+    prompt: PromptText,
+    max_output_tokens: int,
     backend: Backend,
     config: RunConfig,
     limiter: RateLimiter,
     log: _RunLog,
     accept: Callable[[str], tuple[object, bool]] | None = None,
 ) -> _Reply:
-    """Get one reply for ``request``: call, retry transient errors, re-ask once.
+    """Build the request for ``prompt`` and get one reply: call, retry transient errors, re-ask once.
 
     Every attempt passes through the limiter and leaves one run-log line.
     ``accept`` turns a reply's text into ``(value, ok)``; without it every
@@ -242,6 +246,9 @@ def _call(
     ``None`` when no call succeeded: transient retries ran out, or a fatal
     error came at any point.
     """
+    request = CompletionRequest(
+        config.model, prompt, config.temperature, max_output_tokens, dataset_name, record.row_index
+    )
     attempt = 0
     retries_used = 0
     reasked = False
@@ -264,8 +271,8 @@ def _call(
         input_tokens += result.input_tokens
         output_tokens += result.output_tokens
         log.record(
-            dataset=request.dataset_name,
-            row=request.row_index,
+            dataset=dataset_name,
+            row=record.row_index,
             attempt=attempt,
             latency_ms=result.latency_ms,
             input_tokens=result.input_tokens,
@@ -414,39 +421,32 @@ def run_screening(
     with _RunLog(run_log_path) as log:
         for name, records in datasets.items():
             criteria = manifest.criteria_for(name)
-            stats = report.datasets[name] = DatasetStats(rows_total=len(records))
-            stats.empty_abstract_count = sum(1 for r in records if not r.abstract)
             pending = [r for r in records if r.model_decision is None]
-            stats.rows_skipped_resume = len(records) - len(pending)
 
             def screen(record: ScreeningRecord) -> _Reply:
-                request = CompletionRequest(
-                    model=config.model,
-                    prompt=build_decision_prompt(record, criteria),
-                    temperature=config.temperature,
-                    max_output_tokens=DECISION_MAX_TOKENS,
-                    dataset_name=name,
-                    row_index=record.row_index,
+                prompt = build_decision_prompt(record, criteria)
+                return _call(
+                    name, record, prompt, DECISION_MAX_TOKENS, backend, config, limiter, log, _decided
                 )
-                return _call(request, backend, config, limiter, log, accept=_decided)
 
             replies = _dispatch(config, pending, screen)
             with _journaled(records, results_path(out_dir, name)) as journal, closing(replies):
                 for record, reply in replies:
-                    decision = Decision.ERROR if reply.value is None else reply.value
-                    record.model_decision = decision
-                    stats.rows_screened += 1
-                    if decision is Decision.INCLUDED:
-                        stats.included_count += 1
-                    elif decision is Decision.EXCLUDED:
-                        stats.excluded_count += 1
-                    elif decision is Decision.UNPARSEABLE:
-                        stats.unparseable_count += 1
-                    else:
-                        stats.error_count += 1
+                    record.model_decision = Decision.ERROR if reply.value is None else reply.value
                     report.input_tokens += reply.input_tokens
                     report.output_tokens += reply.output_tokens
                     journal.write(journal_entry(record))
+            decisions = [r.model_decision for r in pending]
+            report.datasets[name] = DatasetStats(
+                rows_total=len(records),
+                rows_screened=len(decisions),
+                rows_skipped_resume=len(records) - len(decisions),
+                included_count=decisions.count(Decision.INCLUDED),
+                excluded_count=decisions.count(Decision.EXCLUDED),
+                unparseable_count=decisions.count(Decision.UNPARSEABLE),
+                error_count=decisions.count(Decision.ERROR),
+                empty_abstract_count=sum(1 for r in records if not r.abstract),
+            )
 
     report.wall_time_s = time.monotonic() - run_started
     report.estimated_cost = config.cost(report.input_tokens, report.output_tokens)
@@ -511,15 +511,8 @@ def run_explanations(
     journaled = nullcontext() if results is None else _journaled(*results)
 
     def annotate(record: ScreeningRecord) -> _Reply:
-        request = CompletionRequest(
-            model=config.model,
-            prompt=build(record, criteria, record.human_decision, record.model_decision),
-            temperature=config.temperature,
-            max_output_tokens=NARRATIVE_MAX_TOKENS,
-            dataset_name=dataset_name,
-            row_index=record.row_index,
-        )
-        return _call(request, backend, config, limiter, log)
+        prompt = build(record, criteria, record.human_decision, record.model_decision)
+        return _call(dataset_name, record, prompt, NARRATIVE_MAX_TOKENS, backend, config, limiter, log)
 
     replies = _dispatch(config, eligible, annotate)
     with _RunLog(run_log_path) as log, journaled as journal, closing(replies):
