@@ -256,6 +256,11 @@ def screen(dataset: str | None, resume: bool, **kwargs) -> None:
     names = _dataset_names(manifest, dataset)
     datasets = {name: _load_records(config, manifest, name, resume) for name in names}
     backend = _make_backend(config)
+    report_path = config.output_dir / RUN_REPORT_NAME
+    # Before the first call, so a report that cannot be written bills no row. The
+    # journal needs the directory writable; a directory in the report's place is left.
+    if report_path.is_dir():
+        raise CliFailure(f"cannot write {report_path}: it is a directory")
     if not resume:
         # Up front, so a --resume after a killed run never counts a stale
         # dataset as done, and no stale journal extends a fresh screen.
@@ -271,7 +276,7 @@ def screen(dataset: str | None, resume: bool, **kwargs) -> None:
         config.output_dir,
         run_log_path=config.output_dir / RUN_LOG_NAME,
     )
-    write_file(config.output_dir / RUN_REPORT_NAME, [json.dumps(report.to_dict(), indent=2), "\n"])
+    write_file(report_path, [json.dumps(report.to_dict(), indent=2), "\n"])
     for name, stats in report.datasets.items():
         click.echo(
             f"{name}: {stats.rows_total} rows, {stats.rows_screened} screened, "
@@ -289,7 +294,7 @@ def screen(dataset: str | None, resume: bool, **kwargs) -> None:
 
 def _run_explain(
     dataset: str,
-    mode_name: str,
+    mode: PromptKind,
     sample: int | None,
     rows: str | None,
     seed: int,
@@ -309,7 +314,6 @@ def _run_explain(
     # With the journal of a killed run folded in, as `screen --resume` reads it.
     records = _load_records(config, manifest, dataset, resume=True)
 
-    mode = PromptKind.EXPLAIN if mode_name == "explain" else PromptKind.REFLECT
     eligible = [r for r in records if eligible_for(mode, r)]
     if rows is not None:
         try:
@@ -321,10 +325,10 @@ def _run_explain(
             raise CliFailure(f"--rows names rows not in the dataset: {sorted(unknown)}")
         chosen = [r for r in records if r.row_index in wanted]
         if not any(eligible_for(mode, r) for r in chosen):
-            raise CliFailure(f"no eligible rows for mode {mode_name!r} in --rows selection")
+            raise CliFailure(f"no eligible rows for mode {mode.value!r} in --rows selection")
     else:
         if not eligible:
-            raise CliFailure(f"no eligible rows for mode {mode_name!r} in {dataset}")
+            raise CliFailure(f"no eligible rows for mode {mode.value!r} in {dataset}")
         if sample is None or sample >= len(eligible):
             chosen = eligible
         else:
@@ -343,7 +347,7 @@ def _run_explain(
     )
     click.echo(
         f"{dataset}: {report.annotated_count} annotated, {report.skipped_count} skipped, "
-        f"{report.error_count} errors ({mode_name})"
+        f"{report.error_count} errors ({mode.value})"
     )
     if report.error_count:
         sys.exit(1)
@@ -352,18 +356,12 @@ def _run_explain(
 @main.command()
 @config_options
 @click.option("--dataset", required=True, help="Dataset whose results file to annotate.")
-@click.option(
-    "--mode",
-    type=click.Choice(["explain", "reflect"]),
-    default="explain",
-    show_default=True,
-)
 @click.option("--sample", type=int, default=None, help="Annotate K eligible rows, sampled with --seed.")
 @click.option("--rows", default=None, help="Comma-separated row indexes to annotate.")
 @click.option("--seed", type=int, default=0, show_default=True, help="Sampling seed.")
-def explain(dataset: str, mode: str, sample: int | None, rows: str | None, seed: int, **kwargs) -> None:
-    """Ask the model to explain (or reflect on) decisions in a results file."""
-    _run_explain(dataset, mode, sample, rows, seed, kwargs)
+def explain(dataset: str, sample: int | None, rows: str | None, seed: int, **kwargs) -> None:
+    """Ask the model to explain decisions in a results file."""
+    _run_explain(dataset, PromptKind.EXPLAIN, sample, rows, seed, kwargs)
 
 
 @main.command()
@@ -374,7 +372,7 @@ def explain(dataset: str, mode: str, sample: int | None, rows: str | None, seed:
 @click.option("--seed", type=int, default=0, show_default=True, help="Sampling seed.")
 def reflect(dataset: str, sample: int | None, rows: str | None, seed: int, **kwargs) -> None:
     """Ask the model why its disagreeing decisions were incorrect."""
-    _run_explain(dataset, "reflect", sample, rows, seed, kwargs)
+    _run_explain(dataset, PromptKind.REFLECT, sample, rows, seed, kwargs)
 
 
 def _decision_columns(

@@ -146,13 +146,16 @@ class HttpBackend:
 
     POSTs to ``{base_url}/v1/chat/completions`` with the prompt as a single
     user message, over one ``urllib.request`` connection per call (proxies
-    from the environment). A 307/308 redirect is followed by posting the same
-    body to its ``Location``, at most ``MAX_REDIRECTS`` times; urllib itself
-    follows 301/302/303 as a GET. The bearer token comes from the environment
-    (never from a config file) and is sent only to ``base_url``'s scheme, host
-    and port. A ``base_url`` that :func:`is_http_url` rejects raises
-    ``ValueError``, and a missing credential :class:`AuthMissing`, at
-    construction, before any network traffic.
+    from the environment). For an https ``base_url`` every call shares one
+    TLS context, built with the backend and verified against the default
+    trust store, so the store is read once, not per call. A 307/308 redirect
+    is followed by posting the same body to its ``Location``, at most
+    ``MAX_REDIRECTS`` times; urllib itself follows 301/302/303 as a GET. The
+    bearer token comes from the environment (never from a config file) and is
+    sent only to ``base_url``'s scheme, host and port. A ``base_url`` that
+    :func:`is_http_url` rejects raises ``ValueError``, and a missing
+    credential :class:`AuthMissing`, at construction, before any network
+    traffic.
     """
 
     def __init__(self, base_url: str, api_key_env: str = API_KEY_ENV, timeout_s: float = 120.0):
@@ -164,6 +167,7 @@ class HttpBackend:
         # Loaded here rather than at import, so commands that build no
         # HttpBackend (mock runs, evaluate) never load the HTTP and TLS stack.
         import http.client
+        import ssl
         import urllib.error
         import urllib.request
 
@@ -172,6 +176,15 @@ class HttpBackend:
         self._transport_errors = (OSError, http.client.HTTPException, ValueError)
         self._url = base_url.rstrip("/") + "/v1/chat/completions"
         self._origin = _origin(self._url)
+        handlers = []
+        if self._origin[0] == "https":
+            # The context http.client would build for each connection, built once.
+            context = ssl._create_default_https_context()
+            context.set_alpn_protocols(["http/1.1"])
+            if context.post_handshake_auth is not None:
+                context.post_handshake_auth = True
+            handlers.append(urllib.request.HTTPSHandler(context=context))
+        self._opener = urllib.request.build_opener(*handlers)
         self._key = key
         self._timeout = timeout_s
 
@@ -182,7 +195,7 @@ class HttpBackend:
             # Unredirected: urllib's own 301/302/303 handling never forwards the token.
             post.add_unredirected_header("Authorization", f"Bearer {self._key}")
         try:
-            with self._urllib.request.urlopen(post, timeout=self._timeout) as response:
+            with self._opener.open(post, timeout=self._timeout) as response:
                 return response.status, response.headers.get("Location"), response.read()
         except self._urllib.error.HTTPError as exc:
             with exc:

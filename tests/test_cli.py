@@ -715,9 +715,7 @@ class TestExplainReflect:
     def test_reflect_fills_both_disagreements(self, tmp_path):
         config = make_workspace(tmp_path)
         assert invoke(config, "screen").exit_code == 0
-        result = invoke(
-            config, "explain", "--dataset", "IVM", "--mode", "reflect", "--sample", "2"
-        )
+        result = invoke(config, "reflect", "--dataset", "IVM", "--sample", "2")
         assert result.exit_code == 0, result.output
         rows = read_csv_rows(tmp_path / "out" / "IVM_results.csv")
         assert rows[1]["reflection"] != ""
@@ -1237,7 +1235,6 @@ COMMAND_OPTIONS = {
     ],
     "explain": [
         (["--dataset"], "Dataset whose results file to annotate."),
-        (["--mode"], None),
         (["--sample"], "Annotate K eligible rows, sampled with --seed."),
         (["--rows"], "Comma-separated row indexes to annotate."),
         (["--seed"], "Sampling seed."),
