@@ -5,7 +5,8 @@ Configuration lives in an INI file with ``[backend]``, ``[runner]`` and
 credential is only ever read from the environment, never from the file.
 
 Exit codes are a stable contract for scripting: 0 success, 1 completed with
-per-row errors, 2 usage or configuration failure.
+per-row errors or stopped by Ctrl-C or SIGTERM, 2 usage or configuration
+failure.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ from __future__ import annotations
 import configparser
 import json
 import random
+import signal
 import sys
+import threading
 from contextlib import closing
 from pathlib import Path
 from typing import NamedTuple
@@ -39,7 +42,7 @@ from .corpus import (
     load_manifest,
     read_rows,
     results_path,
-    write_file,
+    write_files,
 )
 from .llm import API_KEY_ENV, AuthMissing, HttpBackend, MockBackend, MockScript, is_http_url
 from .prompts import PromptKind
@@ -74,13 +77,25 @@ class CliFailure(click.ClickException):
 
 
 class _Main(click.Group):
-    """The one place the library's usage and configuration errors become exit 2."""
+    """The one place the library's usage and configuration errors become exit 2.
+
+    While a command runs in the main thread, SIGTERM (a plain ``kill``, a CI
+    timeout, ``docker stop``) raises :class:`KeyboardInterrupt` as Ctrl-C
+    does, so the command writes what it finished and exits 1; the handler it
+    replaced is put back after.
+    """
 
     def invoke(self, ctx: click.Context):
+        in_main = threading.current_thread() is threading.main_thread()
+        previous = signal.signal(signal.SIGTERM, signal.default_int_handler) if in_main else None
         try:
             return super().invoke(ctx)
         except (CorpusError, ConfigInvalid, AuthMissing) as exc:
             raise CliFailure(str(exc))
+        finally:
+            if in_main:
+                # None: the handler was not set from Python, so the default is the best guess.
+                signal.signal(signal.SIGTERM, signal.SIG_DFL if previous is None else previous)
 
 
 class AppConfig(NamedTuple):
@@ -261,6 +276,8 @@ def screen(dataset: str | None, resume: bool, **kwargs) -> None:
     # journal needs the directory writable; a directory in the report's place is left.
     if report_path.is_dir():
         raise CliFailure(f"cannot write {report_path}: it is a directory")
+    # A run cut short leaves no report, rather than the previous run's beside its results.
+    report_path.unlink(missing_ok=True)
     if not resume:
         # Up front, so a --resume after a killed run never counts a stale
         # dataset as done, and no stale journal extends a fresh screen.
@@ -276,7 +293,7 @@ def screen(dataset: str | None, resume: bool, **kwargs) -> None:
         config.output_dir,
         run_log_path=config.output_dir / RUN_LOG_NAME,
     )
-    write_file(report_path, [json.dumps(report.to_dict(), indent=2), "\n"])
+    write_files({report_path: [json.dumps(report.to_dict(), indent=2), "\n"]})
     for name, stats in report.datasets.items():
         click.echo(
             f"{name}: {stats.rows_total} rows, {stats.rows_screened} screened, "
@@ -477,24 +494,13 @@ def evaluate(dataset: str | None, evaluate_all: bool, truth: str, pred: str, **k
         except metrics_mod.EmptyMatrix:
             raise CliFailure(f"{name}: no comparable rows between columns {truth!r} and {pred!r}")
 
-    # Written once every dataset is scored, so a failing one leaves the previous run's files.
-    header = csv_line(["dataset", "tp", "fn", "fp", "tn", "dropped", "n"])
-    for m in per_dataset:
-        name, cm = m.dataset_name, m.confusion
-        row = csv_line([name, *map(str, (cm.tp, cm.fn, cm.fp, cm.tn, cm.dropped, cm.n))])
-        write_file(config.output_dir / f"{name}_confusion.csv", [header, row])
-        write_file(config.output_dir / f"{name}_confusion.svg", [_confusion_svg(name, cm)])
-
     summary = metrics_mod.weighted_summary(per_dataset)
-
     document = {
         "truth_column": truth,
         "pred_column": pred,
         "datasets": [m.to_dict() for m in per_dataset],
         "weighted_total": summary.to_dict(),
     }
-    write_file(config.output_dir / METRICS_JSON_NAME, [json.dumps(document, indent=2), "\n"])
-
     # Each row is formatted once, for the CSV and the printed table alike. Kappa
     # takes two decimals (JSON keeps full precision); the total's is None, so "-".
     labelled = [(m.dataset_name, m) for m in per_dataset] + [("Total (Weighted Average)", summary)]
@@ -508,7 +514,19 @@ def evaluate(dataset: str | None, evaluate_all: bool, truth: str, pred: str, **k
         )
         for label, m in labelled
     ]
-    write_file(config.output_dir / METRICS_TABLE_NAME, map(csv_line, [TABLE_COLUMNS, *table]))
+
+    # Written once every dataset is scored, and replaced as one set: a failing
+    # dataset, or a directory in a file's place, leaves every earlier file as it was.
+    files = {}
+    header = csv_line(["dataset", "tp", "fn", "fp", "tn", "dropped", "n"])
+    for m in per_dataset:
+        name, cm = m.dataset_name, m.confusion
+        row = csv_line([name, *map(str, (cm.tp, cm.fn, cm.fp, cm.tn, cm.dropped, cm.n))])
+        files[config.output_dir / f"{name}_confusion.csv"] = [header, row]
+        files[config.output_dir / f"{name}_confusion.svg"] = [_confusion_svg(name, cm)]
+    files[config.output_dir / METRICS_JSON_NAME] = [json.dumps(document, indent=2), "\n"]
+    files[config.output_dir / METRICS_TABLE_NAME] = map(csv_line, [TABLE_COLUMNS, *table])
+    write_files(files)
 
     click.echo(f"{'Dataset':<28} {'Accuracy':>9} {'Sens(Inc)':>10} {'Sens(Exc)':>10} {'Kappa':>7}")
     for label, accuracy, sens_inc, sens_exc, kappa in table:
@@ -528,7 +546,7 @@ def estimate_cost_cmd(**kwargs) -> None:
     }
     estimate = estimate_cost(manifest, datasets, config.run)
     document = {**estimate._asdict(), "per_dataset": [d._asdict() for d in estimate.per_dataset]}
-    write_file(config.output_dir / ESTIMATE_JSON_NAME, [json.dumps(document, indent=2), "\n"])
+    write_files({config.output_dir / ESTIMATE_JSON_NAME: [json.dumps(document, indent=2), "\n"]})
     for d in estimate.per_dataset:
         click.echo(
             f"{d.dataset_name}: {d.rows} rows, {d.input_tokens} input tokens, "

@@ -19,8 +19,8 @@ at a time: a reader keeps only what it extracts, so its memory does not
 depend on the file's size. Input must be UTF-8 (a BOM is allowed); a file that
 is not, or that the csv module cannot parse, raises :class:`MalformedCsv`
 naming its path and line. Every output file, the CLI's too, is written whole
-by :func:`write_file` (a temporary file renamed over the old one); a write
-that fails raises :class:`IoFailure`.
+by :func:`write_files` (temporary files renamed over the old ones once all
+are written); a write that fails raises :class:`IoFailure`.
 
 All text passes through :func:`clean_text`, so anything we write back out is
 single-line printable ASCII regardless of the input encoding.
@@ -37,7 +37,7 @@ from contextlib import closing, suppress
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 
 class CorpusError(Exception):
@@ -402,34 +402,43 @@ def _csv_cell(text: str) -> str:
     return text
 
 
-def write_file(path: str | Path, lines: Iterable[str]) -> None:
-    """Write ``lines`` to ``path`` as ASCII, atomically replacing it.
+def write_files(files: Mapping[Path, Iterable[str]]) -> None:
+    """Write each path's lines as ASCII, replacing the files as one set.
 
-    This is how every output file is made. The lines stream to a temporary
-    file in the same directory, renamed over ``path`` at the end, so a crash
-    never leaves a truncated file; its mode follows the umask, as ``open``'s
-    does. On any exception the temporary file is removed, and an
-    :class:`OSError` is raised as :class:`IoFailure` naming ``path``.
+    This is how every output file is made. Each file's lines stream to a
+    temporary file in its directory, and only once every temporary file is
+    whole are they renamed over their paths, so a crash never leaves a
+    truncated file. A path that cannot take the rename (a directory in its
+    place) is found before the first rename, so such a failure changes no
+    file. Modes follow the umask, as ``open``'s do. On any exception every
+    temporary file is removed, and an :class:`OSError` is raised as
+    :class:`IoFailure` naming the path it came from.
     """
-    path = Path(path)
+    temps: dict[Path, str] = {}
     try:
-        # Mode 0o666 less the umask, as open() gives (mkstemp's is 0600); 48 random bits keep the name unused.
-        tmp_name = str(path.parent / f"{path.name}.{os.urandom(6).hex()}.tmp")
-        fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-        try:
+        for path, lines in files.items():
+            # Mode 0o666 less the umask, as open() gives (mkstemp's is 0600); 48 random bits keep the name unused.
+            tmp_name = str(path.parent / f"{path.name}.{os.urandom(6).hex()}.tmp")
+            fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            temps[path] = tmp_name
             with os.fdopen(fd, "w", newline="", encoding="ascii") as fh:
                 fh.writelines(lines)
+        for path in temps:
+            if path.is_dir():
+                raise IoFailure(f"cannot write {path}: it is a directory")
+        for path, tmp_name in temps.items():
             os.replace(tmp_name, path)
-        except BaseException:
+    except BaseException as exc:
+        for tmp_name in temps.values():
             with suppress(OSError):
                 os.unlink(tmp_name)
-            raise
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+        if isinstance(exc, OSError):
+            raise IoFailure(f"cannot write {path}: {exc}") from exc
+        raise
 
 
 def write_results(records: Iterable[ScreeningRecord], path: str | Path) -> None:
-    """Write records as a results CSV through :func:`write_file`.
+    """Write records as a results CSV through :func:`write_files`.
 
     Rows are emitted in ``row_index`` order with all six columns. Missing
     decisions and annotations become empty cells, and the four text cells
@@ -450,7 +459,7 @@ def write_results(records: Iterable[ScreeningRecord], path: str | Path) -> None:
         )
         for record in sorted(records, key=lambda r: r.row_index)
     )
-    write_file(path, chain((csv_line(RESULT_COLUMNS),), rows))
+    write_files({Path(path): chain((csv_line(RESULT_COLUMNS),), rows)})
 
 
 def results_path(output_dir: str | Path, name: str) -> Path:

@@ -6,6 +6,10 @@ call the backend and report back; every record mutation, tally, and
 checkpoint write happens on the coordinator, so no locking is needed around
 the records themselves.
 
+Every call of a command belongs to one run: ``_running`` validates the
+config, builds the one rate limiter and opens the one run log, and yields
+them with the backend as a ``_Run``, the first argument of every ``_call``.
+
 Screening and explain/reflect share one call path and one dispatcher.
 ``_call`` builds each request and does limiter, backend call, run-log line,
 transient retry with full-jitter backoff and fatal stop; screening adds only
@@ -215,27 +219,34 @@ class _Reply(NamedTuple):
     output_tokens: int
 
 
-def _backoff_sleep(config: RunConfig, retry_index: int) -> None:
-    # Full jitter: uniform over (0, base * 2^k], capped to stay polite.
-    cap = min(MAX_BACKOFF_S, config.backoff_base_s * (2**retry_index))
-    if cap > 0:
-        time.sleep(random.uniform(0, cap))
+class _Run(NamedTuple):
+    """What every call of one command shares; made only by :func:`_running`."""
+
+    backend: Backend
+    config: RunConfig
+    limiter: RateLimiter
+    log: _RunLog
+
+
+@contextmanager
+def _running(backend: Backend, config: RunConfig, run_log_path: str | Path | None) -> Iterator[_Run]:
+    """Validate ``config`` and yield the command's one run: its rate limiter and its open run log."""
+    config.validate()
+    with _RunLog(run_log_path) as log:
+        yield _Run(backend, config, RateLimiter(config.requests_per_minute), log)
 
 
 def _call(
+    run: _Run,
     dataset_name: str,
     record: ScreeningRecord,
     prompt: PromptText,
     max_output_tokens: int,
-    backend: Backend,
-    config: RunConfig,
-    limiter: RateLimiter,
-    log: _RunLog,
     accept: Callable[[str], tuple[object, bool]] | None = None,
 ) -> _Reply:
     """Build the request for ``prompt`` and get one reply: call, retry transient errors, re-ask once.
 
-    Every attempt passes through the limiter and leaves one run-log line.
+    Every attempt passes through the run's limiter and leaves one run-log line.
     ``accept`` turns a reply's text into ``(value, ok)``; without it every
     reply is accepted as its text. A reply that is not ok is asked again
     once with the very same prompt, so the call budget is 1 + max_retries
@@ -246,6 +257,7 @@ def _call(
     ``None`` when no call succeeded: transient retries ran out, or a fatal
     error came at any point.
     """
+    config = run.config
     request = CompletionRequest(
         config.model, prompt, config.temperature, max_output_tokens, dataset_name, record.row_index
     )
@@ -257,10 +269,10 @@ def _call(
 
     while True:
         attempt += 1
-        limiter.acquire()
+        run.limiter.acquire()
         started = time.monotonic()
         try:
-            result = backend.complete(request)
+            result = run.backend.complete(request)
         except (TransientBackendError, FatalBackendError) as exc:
             # A failed attempt is logged as a reply without text or tokens.
             result = CompletionResult("", 0, 0, (time.monotonic() - started) * 1000.0)
@@ -270,7 +282,7 @@ def _call(
             outcome = "ok" if ok else "unparseable"
         input_tokens += result.input_tokens
         output_tokens += result.output_tokens
-        log.record(
+        run.log.record(
             dataset=dataset_name,
             row=record.row_index,
             attempt=attempt,
@@ -285,7 +297,10 @@ def _call(
             if reasked or retries_used >= config.max_retries:
                 # The re-ask gets one shot; the reply held is the rejected one, if any.
                 return _Reply(held, input_tokens, output_tokens)
-            _backoff_sleep(config, retries_used)
+            # Full jitter: uniform over (0, base * 2^k], capped to stay polite.
+            cap = min(MAX_BACKOFF_S, config.backoff_base_s * (2**retries_used))
+            if cap > 0:
+                time.sleep(random.uniform(0, cap))
             retries_used += 1
             continue
         if ok or reasked:
@@ -411,23 +426,18 @@ def run_screening(
     screen afresh, remove the CSV and its journal first, as ``absieve
     screen`` without ``--resume`` does.
     """
-    config.validate()
-    out_dir = Path(output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    limiter = RateLimiter(config.requests_per_minute)
     report = RunReport()
     run_started = time.monotonic()
-
-    with _RunLog(run_log_path) as log:
+    with _running(backend, config, run_log_path) as run:
+        out_dir = Path(output_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
         for name, records in datasets.items():
             criteria = manifest.criteria_for(name)
             pending = [r for r in records if r.model_decision is None]
 
             def screen(record: ScreeningRecord) -> _Reply:
                 prompt = build_decision_prompt(record, criteria)
-                return _call(
-                    name, record, prompt, DECISION_MAX_TOKENS, backend, config, limiter, log, _decided
-                )
+                return _call(run, name, record, prompt, DECISION_MAX_TOKENS, _decided)
 
             replies = _dispatch(config, pending, screen)
             with _journaled(records, results_path(out_dir, name)) as journal, closing(replies):
@@ -500,10 +510,7 @@ def run_explanations(
     """
     if mode not in (PromptKind.EXPLAIN, PromptKind.REFLECT):
         raise ValueError(f"mode must be EXPLAIN or REFLECT, got {mode}")
-    config.validate()
-    limiter = RateLimiter(config.requests_per_minute)
     report = ExplainReport(mode=mode)
-
     eligible = [r for r in records if eligible_for(mode, r)]
     report.skipped_count = len(records) - len(eligible)
     build = build_explain_prompt if mode is PromptKind.EXPLAIN else build_reflect_prompt
@@ -512,10 +519,10 @@ def run_explanations(
 
     def annotate(record: ScreeningRecord) -> _Reply:
         prompt = build(record, criteria, record.human_decision, record.model_decision)
-        return _call(dataset_name, record, prompt, NARRATIVE_MAX_TOKENS, backend, config, limiter, log)
+        return _call(run, dataset_name, record, prompt, NARRATIVE_MAX_TOKENS)
 
     replies = _dispatch(config, eligible, annotate)
-    with _RunLog(run_log_path) as log, journaled as journal, closing(replies):
+    with _running(backend, config, run_log_path) as run, journaled as journal, closing(replies):
         for record, reply in replies:
             report.input_tokens += reply.input_tokens
             report.output_tokens += reply.output_tokens

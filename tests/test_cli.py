@@ -196,6 +196,13 @@ def _journal_lines(path: Path) -> int:
     return path.read_bytes().count(b"\n") if path.exists() else 0
 
 
+def _stop_signals(values: list) -> list:
+    """Each value with SIGINT under its own id, then with SIGTERM, which must stop a command alike."""
+    return [pytest.param(v, signal.SIGINT, id=str(v)) for v in values] + [
+        pytest.param(v, signal.SIGTERM, id=f"{v}-SIGTERM") for v in values
+    ]
+
+
 class TestJournal:
     def test_clean_run_leaves_no_journal(self, tmp_path):
         config = make_workspace(tmp_path)
@@ -311,8 +318,8 @@ class TestJournal:
         assert not list((killed / "out").glob("*.journal.jsonl"))
 
     @pytest.mark.skipif(os.name != "posix", reason="needs POSIX signals")
-    @pytest.mark.parametrize("interrupt_after", [1, 5])
-    def test_sigint_then_resume_matches_uninterrupted(self, tmp_path, interrupt_after):
+    @pytest.mark.parametrize("interrupt_after, signum", _stop_signals([1, 5]))
+    def test_sigint_then_resume_matches_uninterrupted(self, tmp_path, interrupt_after, signum):
         datasets = {"IVM": KILL_ROWS, "OTHER": KILL_ROWS[:4]}
         straight, interrupted = tmp_path / "straight", tmp_path / "interrupted"
         straight.mkdir()
@@ -336,8 +343,8 @@ class TestJournal:
                 assert child.poll() is None, "screen exited before it could be interrupted"
                 assert time.monotonic() < deadline, "journal never reached the interrupt point"
                 time.sleep(0.005)
-            # The coordinator is blocked waiting for a reply; SIGINT must still reach it.
-            child.send_signal(signal.SIGINT)
+            # The coordinator is blocked waiting for a reply; the signal must still reach it.
+            child.send_signal(signum)
             child.wait(timeout=30)
         finally:
             child.kill()
@@ -355,6 +362,42 @@ class TestJournal:
             assert (out / f"{name}_results.csv").read_bytes() == (
                 straight / "out" / f"{name}_results.csv"
             ).read_bytes()
+
+    @pytest.mark.skipif(os.name != "posix", reason="needs POSIX signals")
+    def test_interrupted_screen_leaves_no_earlier_report(self, tmp_path):
+        config = make_workspace(tmp_path, datasets={"IVM": KILL_ROWS}, script=dict(KILL_SCRIPT))
+        out = tmp_path / "out"
+        assert invoke(config, "screen").exit_code == 0
+        assert (out / "run_report.json").exists()
+        child = _slow_child(config, out / "IVM_results.journal.jsonl", 3, "screen")
+        try:
+            child.send_signal(signal.SIGINT)
+            child.wait(timeout=30)
+        finally:
+            child.kill()
+            child.wait()
+        assert child.returncode == 1
+
+        # The earlier run's report would count 12 screened rows beside a CSV with fewer.
+        assert not (out / "run_report.json").exists()
+        assert invoke(config, "screen", "--resume").exit_code == 0
+        report = json.loads((out / "run_report.json").read_text())
+        assert report["datasets"]["IVM"]["rows_skipped_resume"] >= 3
+
+    def test_sigterm_interrupts_only_while_a_command_runs(self, tmp_path, monkeypatch):
+        config = make_workspace(tmp_path)
+        before = signal.getsignal(signal.SIGTERM)
+        during = []
+        complete = MockBackend.complete
+
+        def noting_complete(self, request):
+            during.append(signal.getsignal(signal.SIGTERM))
+            return complete(self, request)
+
+        monkeypatch.setattr(MockBackend, "complete", noting_complete)
+        assert invoke(config, "screen").exit_code == 0
+        assert set(during) == {signal.default_int_handler}
+        assert signal.getsignal(signal.SIGTERM) == before
 
     def _leftover_resume_workspace(self, tmp_path: Path, tail: str) -> tuple[Path, Path, bytes]:
         """A straight screened run, and a workspace holding a CSV with a leftover journal."""
@@ -524,15 +567,15 @@ class TestAnnotationJournal:
         assert not list(out.glob("*.journal.jsonl"))
 
     @pytest.mark.skipif(os.name != "posix", reason="needs POSIX signals")
-    @pytest.mark.parametrize("command", ["explain", "reflect"])
-    def test_sigint_writes_finished_annotations(self, tmp_path, command):
+    @pytest.mark.parametrize("command, signum", _stop_signals(["explain", "reflect"]))
+    def test_sigint_writes_finished_annotations(self, tmp_path, command, signum):
         straight, args = self._screened(tmp_path / "straight", command)
         assert invoke(straight, *args).exit_code == 0
         config, args = self._screened(tmp_path / "stopped", command)
         out = tmp_path / "stopped" / "out"
         child = _slow_child(config, out / "IVM_results.journal.jsonl", 2, *args)
         try:
-            child.send_signal(signal.SIGINT)
+            child.send_signal(signum)
             child.wait(timeout=30)
         finally:
             child.kill()

@@ -438,6 +438,14 @@ class TestRateAndConcurrency:
         gaps = [b - a for a, b in zip(starts, starts[1:])]
         assert min(gaps) >= 0.09
 
+    def test_one_limiter_spans_dataset_boundaries(self, tmp_path):
+        backend = mock({"default": "excluded"})
+        config = fast_config(requests_per_minute=600)  # 0.1s nominal spacing
+        run_screening(MANIFEST, {"D": make_records(2), "D2": make_records(2)}, backend, config, tmp_path)
+        starts = sorted(backend.start_times())
+        assert len(starts) == 4
+        assert min(b - a for a, b in zip(starts, starts[1:])) >= 0.09
+
     def test_in_flight_never_exceeds_limit(self, tmp_path):
         backend = mock({"default": "excluded"}, delay_s=0.05)
         config = fast_config(max_in_flight=3)
