@@ -272,19 +272,18 @@ def screen(dataset: str | None, resume: bool, **kwargs) -> None:
     datasets = {name: _load_records(config, manifest, name, resume) for name in names}
     backend = _make_backend(config)
     report_path = config.output_dir / RUN_REPORT_NAME
-    # Before the first call, so a report that cannot be written bills no row. The
-    # journal needs the directory writable; a directory in the report's place is left.
-    if report_path.is_dir():
-        raise CliFailure(f"cannot write {report_path}: it is a directory")
-    # A run cut short leaves no report, rather than the previous run's beside its results.
-    report_path.unlink(missing_ok=True)
-    if not resume:
-        # Up front, so a --resume after a killed run never counts a stale
-        # dataset as done, and no stale journal extends a fresh screen.
-        for name in names:
-            results = results_path(config.output_dir, name)
-            results.unlink(missing_ok=True)
-            journal_path(results).unlink(missing_ok=True)
+    # Checked before the first call and the first removal, so a directory in a file's
+    # place bills no row and removes nothing. A run cut short then leaves no report,
+    # rather than the previous run's beside its results. Without --resume the results
+    # CSVs and journals go too, so a --resume after a killed run never counts a stale
+    # dataset as done, and no stale journal extends a fresh screen.
+    results = [] if resume else [results_path(config.output_dir, name) for name in names]
+    stale = [report_path, *results, *map(journal_path, results)]
+    for path in stale:
+        if path.is_dir():
+            raise CliFailure(f"cannot write {path}: it is a directory")
+    for path in stale:
+        path.unlink(missing_ok=True)
     report = run_screening(
         manifest,
         datasets,

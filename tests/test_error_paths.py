@@ -1,24 +1,32 @@
 """Failures on input from outside the program, and public API misuse, that no other test reaches.
 
-Each names what is wrong: a manifest column or cell, a journal path that
-cannot be read, a metric with nothing to measure, a mode or a base URL that
+Each names what is wrong: a manifest column or cell, a journal path or a
+dataset file that cannot be read, a metric with nothing to measure, a mode or a base URL that
 cannot be used. An ``evaluate`` that fails on any dataset writes no file.
 """
 
 from __future__ import annotations
 
+import errno
 import re
+from pathlib import Path
 
 import pytest
 
+import absieve.corpus
 from absieve.corpus import (
     MANIFEST_INCLUSION_COLUMN,
     MANIFEST_NAME_COLUMN,
+    CriteriaSet,
     Decision,
     EmptyField,
     EmptyManifest,
+    IoFailure,
+    ManifestEntry,
     MissingColumn,
+    ScreeningManifest,
     ScreeningRecord,
+    load_dataset,
     load_manifest,
 )
 from absieve.llm import is_http_url
@@ -73,6 +81,46 @@ def test_resume_with_an_unreadable_journal_exits_two_and_removes_nothing(tmp_pat
     assert "Traceback" not in result.output
     assert (out / "IVM_results.csv").read_bytes() == screened
     assert journal.is_dir()
+
+
+class _FailsOnSecondLine:
+    """An open text file whose second line cannot be read, as from a disk that fails part way."""
+
+    def __init__(self, fh):
+        self._fh, self._lines = fh, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._fh.close()
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        self._lines += 1
+        if self._lines == 2:
+            raise OSError(errno.EIO, "Input/output error")
+        return next(self._fh)
+
+
+def test_a_dataset_read_that_fails_part_way_exits_two(tmp_path, monkeypatch):
+    config = make_workspace(tmp_path)
+    dataset = tmp_path / "data" / "IVM.csv"
+
+    def opening(path, *args, **kwargs):
+        fh = open(path, *args, **kwargs)
+        return _FailsOnSecondLine(fh) if Path(path) == dataset else fh
+
+    monkeypatch.setattr(absieve.corpus, "open", opening, raising=False)
+    manifest = ScreeningManifest((ManifestEntry("IVM", CriteriaSet("i", "e")),))
+    with pytest.raises(IoFailure, match=re.escape(f"cannot read {dataset}: ")):
+        load_dataset(dataset, "IVM", manifest)
+    result = invoke(config, "screen")
+    assert result.exit_code == 2, result.output
+    assert f"cannot read {dataset}: " in result.output
+    assert "Traceback" not in result.output
 
 
 def test_evaluate_that_fails_on_a_later_dataset_writes_no_file(tmp_path):
