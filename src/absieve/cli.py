@@ -37,6 +37,7 @@ from .corpus import (
     csv_line,
     fold_journal,
     header_index,
+    iter_records,
     journal_path,
     load_dataset,
     load_manifest,
@@ -226,18 +227,52 @@ def _dataset_names(manifest: ScreeningManifest, dataset: str | None) -> list[str
     return [dataset]
 
 
-def _load_records(
-    config: AppConfig, manifest: ScreeningManifest, name: str, resume: bool
-) -> list[ScreeningRecord]:
+def _source(config: AppConfig, name: str, resume: bool) -> Path:
+    """The file dataset ``name`` is read from: its results CSV on a resume that has one, else its data file."""
     results = results_path(config.output_dir, name)
     source = results if resume and results.exists() else config.data_dir / f"{name}.csv"
     if not source.exists():
         raise CliFailure(f"dataset file not found: {source}")
-    records = load_dataset(source, name, manifest)
+    return source
+
+
+def _load_records(
+    config: AppConfig, manifest: ScreeningManifest, name: str, resume: bool, keep: bool = True
+) -> list[ScreeningRecord]:
+    """Read dataset ``name`` as a command reads it; with ``keep`` false, only check it.
+
+    A check raises what a load would, the journal's errors included, and
+    returns one placeholder per row that holds no text.
+    """
+    source = _source(config, name, resume)
+    if keep:
+        records = load_dataset(source, name, manifest)
+    else:
+        records = [ScreeningRecord(r.row_index, "") for r in iter_records(source, name, manifest)]
     if resume:
         # Rows a killed run journaled since it read the same source file.
-        fold_journal(records, journal_path(results))
+        fold_journal(records, journal_path(results_path(config.output_dir, name)))
     return records
+
+
+def _check_no_clash(config: AppConfig, manifest: ScreeningManifest, names: list[str]) -> None:
+    """Exit 2 if the results CSV of one of ``names`` would replace a manifest dataset's data file."""
+    data_files = {(config.data_dir / f"{other}.csv").resolve(): other for other in manifest.names()}
+    for name in names:
+        path = results_path(config.output_dir, name)
+        other = data_files.get(path.resolve())
+        if other is not None:
+            raise CliFailure(
+                f"cannot write {path}: the results of dataset {name!r} would replace "
+                f"the data file of dataset {other!r}"
+            )
+
+
+def _check_not_directories(*paths: Path) -> None:
+    """Exit 2 if an output file has a directory in its place, before anything is removed or called."""
+    for path in paths:
+        if path.is_dir():
+            raise CliFailure(f"cannot write {path}: it is a directory")
 
 
 def config_options(command):
@@ -269,29 +304,31 @@ def screen(dataset: str | None, resume: bool, **kwargs) -> None:
     config = load_app_config(kwargs)
     manifest = _load_manifest(config)
     names = _dataset_names(manifest, dataset)
-    datasets = {name: _load_records(config, manifest, name, resume) for name in names}
+    _check_no_clash(config, manifest, names)
+    # Bad input exits 2 before any removal or call. The first dataset is kept, and
+    # popped at its turn; each later one is only checked now and read again at its
+    # turn. So the run holds one dataset at a time.
+    first = {names[0]: _load_records(config, manifest, names[0], resume)}
+    for name in names[1:]:
+        _load_records(config, manifest, name, resume, keep=False)
     backend = _make_backend(config)
     report_path = config.output_dir / RUN_REPORT_NAME
+    run_log = config.output_dir / RUN_LOG_NAME
     # Checked before the first call and the first removal, so a directory in a file's
     # place bills no row and removes nothing. A run cut short then leaves no report,
     # rather than the previous run's beside its results. Without --resume the results
     # CSVs and journals go too, so a --resume after a killed run never counts a stale
-    # dataset as done, and no stale journal extends a fresh screen.
+    # dataset as done, and no stale journal extends a fresh screen. The run log is
+    # appended to, never removed.
     results = [] if resume else [results_path(config.output_dir, name) for name in names]
     stale = [report_path, *results, *map(journal_path, results)]
-    for path in stale:
-        if path.is_dir():
-            raise CliFailure(f"cannot write {path}: it is a directory")
+    _check_not_directories(run_log, *stale)
     for path in stale:
         path.unlink(missing_ok=True)
-    report = run_screening(
-        manifest,
-        datasets,
-        backend,
-        config.run,
-        config.output_dir,
-        run_log_path=config.output_dir / RUN_LOG_NAME,
+    datasets = (
+        (name, first.pop(name) if name in first else _load_records(config, manifest, name, resume)) for name in names
     )
+    report = run_screening(manifest, datasets, backend, config.run, config.output_dir, run_log_path=run_log)
     write_files({report_path: [json.dumps(report.to_dict(), indent=2), "\n"]})
     for name, stats in report.datasets.items():
         click.echo(
@@ -321,8 +358,11 @@ def _run_explain(
     config = load_app_config(kwargs)
     manifest = _load_manifest(config)
     _dataset_names(manifest, dataset)
+    _check_no_clash(config, manifest, [dataset])
     if sample is not None and sample < 0:
         raise CliFailure(f"--sample must be >= 0, got {sample}")
+    run_log = config.output_dir / RUN_LOG_NAME
+    _check_not_directories(run_log)
     results = results_path(config.output_dir, dataset)
     # A first screen killed before its dataset ended leaves a journal and no CSV.
     if not (results.exists() or journal_path(results).exists()):
@@ -358,7 +398,7 @@ def _run_explain(
         config.run,
         mode,
         dataset,
-        run_log_path=config.output_dir / RUN_LOG_NAME,
+        run_log_path=run_log,
         results=(records, results),
     )
     click.echo(
@@ -539,10 +579,8 @@ def estimate_cost_cmd(**kwargs) -> None:
     """Project token usage, cost, and wall time for a full screening run."""
     config = load_app_config(kwargs)
     manifest = _load_manifest(config)
-    datasets = {
-        name: _load_records(config, manifest, name, resume=False)
-        for name in manifest.names()
-    }
+    # Each file is checked and streamed at its turn, in manifest order, and no record is kept.
+    datasets = ((name, iter_records(_source(config, name, resume=False), name, manifest)) for name in manifest.names())
     estimate = estimate_cost(manifest, datasets, config.run)
     document = {**estimate._asdict(), "per_dataset": [d._asdict() for d in estimate.per_dataset]}
     write_files({config.output_dir / ESTIMATE_JSON_NAME: [json.dumps(document, indent=2), "\n"]})

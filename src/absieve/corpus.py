@@ -341,13 +341,22 @@ def load_manifest(path: str | Path) -> ScreeningManifest:
 def load_dataset(
     path: str | Path, name: str, manifest: ScreeningManifest
 ) -> list[ScreeningRecord]:
-    """Read a dataset (or results) CSV into records, in file order.
+    """Read a dataset (or results) CSV into records, in file order: :func:`iter_records`, kept."""
+    return list(iter_records(path, name, manifest))
+
+
+def iter_records(path: str | Path, name: str, manifest: ScreeningManifest) -> Iterator[ScreeningRecord]:
+    """Stream a dataset (or results) CSV as records, in file order.
 
     ``name`` must appear in the manifest. Rows with an empty abstract are
     kept; a pre-existing ``decision`` column is parsed into
-    ``model_decision`` so a partially screened file can be resumed. Rows are
-    read in one pass and each becomes its record as it is read, so no raw row
-    outlives its turn.
+    ``model_decision`` so a partially screened file can be resumed. Each row
+    becomes its record as it is read and is handed on, so a caller that keeps
+    no record holds one row at a time. Every error (:class:`UnknownDataset`,
+    those of :func:`read_rows`, :class:`MissingColumn`, :class:`EmptyField`,
+    :class:`UnparseableDecisionValue`) is raised while iterating, the first at
+    the first record asked for. The file is closed when the stream runs out
+    or is closed.
     """
     if name not in manifest:
         raise UnknownDataset(name)
@@ -362,25 +371,21 @@ def load_dataset(
         human_pos, decision_pos = index.get("human_decision"), index.get("decision")
         explanation_pos, reflection_pos = index.get("explanation"), index.get("reflection")
 
-        records: list[ScreeningRecord] = []
         for n, row in enumerate(rows):
             title = clean_text(_cell(row, title_pos))
             if not title:
                 raise EmptyField(f"{path} row {n}: empty title")
             explanation = clean_text(_cell(row, explanation_pos))
             reflection = clean_text(_cell(row, reflection_pos))
-            records.append(
-                ScreeningRecord(
-                    row_index=n,
-                    title=title,
-                    abstract=clean_text(_cell(row, abstract_pos)),
-                    human_decision=_decision_from_cell(_cell(row, human_pos), n, "human_decision"),
-                    model_decision=_decision_from_cell(_cell(row, decision_pos), n, "decision"),
-                    explanation=explanation or None,
-                    reflection=reflection or None,
-                )
+            yield ScreeningRecord(
+                row_index=n,
+                title=title,
+                abstract=clean_text(_cell(row, abstract_pos)),
+                human_decision=_decision_from_cell(_cell(row, human_pos), n, "human_decision"),
+                model_decision=_decision_from_cell(_cell(row, decision_pos), n, "decision"),
+                explanation=explanation or None,
+                reflection=reflection or None,
             )
-    return records
 
 
 def csv_line(cells: Sequence[str]) -> str:

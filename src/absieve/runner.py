@@ -401,15 +401,55 @@ def _journaled(records: Sequence[ScreeningRecord], path: Path) -> Iterator[TextI
         journal_file.unlink()
 
 
+def _screen_dataset(
+    run: _Run, name: str, criteria: CriteriaSet, records: list[ScreeningRecord], out_dir: Path, report: RunReport
+) -> None:
+    """Screen one dataset's undecided rows and add its counts and tokens to ``report``.
+
+    Everything this holds of the dataset is gone when it returns, the last
+    record and reply a loop left bound included.
+    """
+    pending = [r for r in records if r.model_decision is None]
+
+    def screen(record: ScreeningRecord) -> _Reply:
+        prompt = build_decision_prompt(record, criteria)
+        return _call(run, name, record, prompt, DECISION_MAX_TOKENS, _decided)
+
+    replies = _dispatch(run.config, pending, screen)
+    with _journaled(records, results_path(out_dir, name)) as journal, closing(replies):
+        for record, reply in replies:
+            record.model_decision = Decision.ERROR if reply.value is None else reply.value
+            report.input_tokens += reply.input_tokens
+            report.output_tokens += reply.output_tokens
+            journal.write(journal_entry(record))
+    decisions = [r.model_decision for r in pending]
+    report.datasets[name] = DatasetStats(
+        rows_total=len(records),
+        rows_screened=len(decisions),
+        rows_skipped_resume=len(records) - len(decisions),
+        included_count=decisions.count(Decision.INCLUDED),
+        excluded_count=decisions.count(Decision.EXCLUDED),
+        unparseable_count=decisions.count(Decision.UNPARSEABLE),
+        error_count=decisions.count(Decision.ERROR),
+        empty_abstract_count=sum(1 for r in records if not r.abstract),
+    )
+
+
 def run_screening(
     manifest: ScreeningManifest,
-    datasets: Mapping[str, list[ScreeningRecord]],
+    datasets: Mapping[str, list[ScreeningRecord]] | Iterable[tuple[str, list[ScreeningRecord]]],
     backend: Backend,
     config: RunConfig,
     output_dir: str | Path,
     run_log_path: str | Path | None = None,
 ) -> RunReport:
     """Screen every undecided row of every dataset and checkpoint as we go.
+
+    ``datasets`` maps each name to its records, or is an iterable of
+    ``(name, records)`` pairs. Pairs are pulled one at a time, as the
+    previous dataset ends, and each dataset is released before the next is
+    pulled, so an iterable that reads each dataset when pulled holds one
+    dataset at a time (as ``absieve screen`` does).
 
     Rows that already carry a model decision are skipped (that is the whole
     resume contract); only a row with no decision is screened, so a row that
@@ -431,32 +471,9 @@ def run_screening(
     with _running(backend, config, run_log_path) as run:
         out_dir = Path(output_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        for name, records in datasets.items():
-            criteria = manifest.criteria_for(name)
-            pending = [r for r in records if r.model_decision is None]
-
-            def screen(record: ScreeningRecord) -> _Reply:
-                prompt = build_decision_prompt(record, criteria)
-                return _call(run, name, record, prompt, DECISION_MAX_TOKENS, _decided)
-
-            replies = _dispatch(config, pending, screen)
-            with _journaled(records, results_path(out_dir, name)) as journal, closing(replies):
-                for record, reply in replies:
-                    record.model_decision = Decision.ERROR if reply.value is None else reply.value
-                    report.input_tokens += reply.input_tokens
-                    report.output_tokens += reply.output_tokens
-                    journal.write(journal_entry(record))
-            decisions = [r.model_decision for r in pending]
-            report.datasets[name] = DatasetStats(
-                rows_total=len(records),
-                rows_screened=len(decisions),
-                rows_skipped_resume=len(records) - len(decisions),
-                included_count=decisions.count(Decision.INCLUDED),
-                excluded_count=decisions.count(Decision.EXCLUDED),
-                unparseable_count=decisions.count(Decision.UNPARSEABLE),
-                error_count=decisions.count(Decision.ERROR),
-                empty_abstract_count=sum(1 for r in records if not r.abstract),
-            )
+        for name, records in datasets.items() if isinstance(datasets, Mapping) else datasets:
+            _screen_dataset(run, name, manifest.criteria_for(name), records, out_dir, report)
+            del records  # a `for` keeps it bound while it pulls the next pair
 
     report.wall_time_s = time.monotonic() - run_started
     report.estimated_cost = config.cost(report.input_tokens, report.output_tokens)
@@ -554,10 +571,15 @@ class CostEstimate(NamedTuple):
 
 def estimate_cost(
     manifest: ScreeningManifest,
-    datasets: Mapping[str, Sequence[ScreeningRecord]],
+    datasets: Mapping[str, Iterable[ScreeningRecord]] | Iterable[tuple[str, Iterable[ScreeningRecord]]],
     config: RunConfig,
 ) -> CostEstimate:
     """Project token usage, cost, and wall time for screening ``datasets``.
+
+    ``datasets`` maps each name to its records, or is an iterable of
+    ``(name, records)`` pairs. Records are counted as they are iterated and
+    none is kept, so a stream of records (:func:`absieve.corpus.iter_records`)
+    is estimated one row at a time, as ``absieve estimate-cost`` does.
 
     Input tokens come from the character-count heuristic over every rendered
     decision prompt; output is one token per row. Projected wall time is a
@@ -565,12 +587,15 @@ def estimate_cost(
     """
     config.validate()
     per_dataset = []
-    for name, records in datasets.items():
+    for name, records in datasets.items() if isinstance(datasets, Mapping) else datasets:
         criteria = manifest.criteria_for(name)
-        input_tokens = sum(count_tokens_estimate(build_decision_prompt(r, criteria).body) for r in records)
-        output_tokens = len(records)  # one single-word reply per row
+        rows = input_tokens = 0
+        for record in records:
+            rows += 1
+            input_tokens += count_tokens_estimate(build_decision_prompt(record, criteria).body)
+        output_tokens = rows  # one single-word reply per row
         cost = config.cost(input_tokens, output_tokens)
-        per_dataset.append(DatasetCostEstimate(name, len(records), input_tokens, output_tokens, cost))
+        per_dataset.append(DatasetCostEstimate(name, rows, input_tokens, output_tokens, cost))
     total_rows = sum(d.rows for d in per_dataset)
     return CostEstimate(
         per_dataset=tuple(per_dataset),

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import absieve.corpus
+import absieve.llm
 from absieve.corpus import Decision
 
 
@@ -96,6 +97,25 @@ def corpus_files(monkeypatch) -> list:
 
     monkeypatch.setattr(absieve.corpus, "open", tracked_open, raising=False)
     return opened
+
+
+@pytest.fixture
+def backend_calls(monkeypatch) -> list:
+    """Every request a ``MockBackend`` is asked to complete while the test runs, in order."""
+    calls = []
+    complete = absieve.llm.MockBackend.complete
+
+    def counting_complete(self, request):
+        calls.append(request)
+        return complete(self, request)
+
+    monkeypatch.setattr(absieve.llm.MockBackend, "complete", counting_complete)
+    return calls
+
+
+def output_files(directory: Path) -> dict[str, bytes]:
+    """The bytes of every file in ``directory``, by name."""
+    return {path.name: path.read_bytes() for path in directory.iterdir() if path.is_file()}
 
 
 @contextlib.contextmanager

@@ -1,19 +1,21 @@
-"""`screen` finds out that `run_report.json`, a results CSV or a journal cannot be written before it calls the model.
+"""`screen`, `explain` and `reflect` find out that an output file cannot be written before they call the model.
 
 The report is written after the last call, so a failure found only then
-would come after every row was billed. A directory in a results CSV's or a
-journal's place is found before any file is removed, too.
+would come after every row was billed. A directory in the place of a
+results CSV, a journal or the run log is found before any file is removed,
+too, and so is a results CSV that would replace a manifest dataset's data
+file (possible when ``paths.output_dir`` is ``paths.data_dir``).
 """
 
 from __future__ import annotations
 
 import pytest
 
-from absieve.llm import MockBackend
+from conftest import output_files
 from test_cli import DEFAULT_ROWS, invoke, make_workspace
 
 
-def test_directory_at_the_report_path_exits_before_any_call(tmp_path, monkeypatch):
+def test_directory_at_the_report_path_exits_before_any_call(tmp_path, backend_calls):
     config = make_workspace(tmp_path)
     out = tmp_path / "out"
     assert invoke(config, "screen").exit_code == 0
@@ -21,44 +23,73 @@ def test_directory_at_the_report_path_exits_before_any_call(tmp_path, monkeypatc
     screened = (out / "IVM_results.csv").read_bytes()
     (out / "run_report.json").unlink()
     (out / "run_report.json").mkdir()
+    backend_calls.clear()
 
-    calls = []
-    complete = MockBackend.complete
-
-    def counting_complete(self, request):
-        calls.append(request)
-        return complete(self, request)
-
-    monkeypatch.setattr(MockBackend, "complete", counting_complete)
     result = invoke(config, "screen")
     assert result.exit_code == 2, result.output
     assert f"cannot write {out / 'run_report.json'}: " in result.output
-    assert calls == []
+    assert backend_calls == []
     assert (out / "run_log.jsonl").read_bytes() == logged
     assert (out / "IVM_results.csv").read_bytes() == screened
 
 
 @pytest.mark.parametrize("taken", ["IVM_results.csv", "IVM_results.journal.jsonl"])
-def test_directory_at_a_results_path_exits_before_any_call_or_removal(tmp_path, monkeypatch, taken):
+def test_directory_at_a_results_path_exits_before_any_call_or_removal(tmp_path, backend_calls, taken):
     config = make_workspace(tmp_path, datasets={"IVM": DEFAULT_ROWS, "OTHER": DEFAULT_ROWS[:2]})
     out = tmp_path / "out"
     assert invoke(config, "screen").exit_code == 0
     (out / taken).unlink(missing_ok=True)
     (out / taken).mkdir()
-    kept = {path.name: path.read_bytes() for path in out.iterdir() if path.is_file()}
+    kept = output_files(out)
     assert {"run_report.json", "run_log.jsonl", "OTHER_results.csv"} <= set(kept)
+    backend_calls.clear()
 
-    calls = []
-    complete = MockBackend.complete
-
-    def counting_complete(self, request):
-        calls.append(request)
-        return complete(self, request)
-
-    monkeypatch.setattr(MockBackend, "complete", counting_complete)
     result = invoke(config, "screen")
     assert result.exit_code == 2, result.output
     assert f"cannot write {out / taken}: it is a directory" in result.output
     assert "Traceback" not in result.output
-    assert calls == []
-    assert {path.name: path.read_bytes() for path in out.iterdir() if path.is_file()} == kept
+    assert backend_calls == []
+    assert output_files(out) == kept
+
+
+@pytest.mark.parametrize("command", ["screen", "explain", "reflect"])
+def test_directory_at_the_run_log_exits_before_any_call_or_removal(tmp_path, backend_calls, command):
+    config = make_workspace(tmp_path)
+    out = tmp_path / "out"
+    assert invoke(config, "screen").exit_code == 0
+    (out / "run_log.jsonl").unlink()
+    (out / "run_log.jsonl").mkdir()
+    kept = output_files(out)
+    assert {"run_report.json", "IVM_results.csv"} <= set(kept)
+    backend_calls.clear()
+
+    result = invoke(config, command, "--dataset", "IVM")
+    assert result.exit_code == 2, result.output
+    assert f"cannot write {out / 'run_log.jsonl'}: it is a directory" in result.output
+    assert "Traceback" not in result.output
+    assert backend_calls == []
+    assert output_files(out) == kept
+
+
+@pytest.mark.parametrize("spelling", ["{data}", "{data}/../data"])
+@pytest.mark.parametrize("command", ["screen", "explain", "reflect"])
+def test_results_that_would_replace_a_data_file_exit_before_any_read_or_call(
+    tmp_path, backend_calls, command, spelling
+):
+    # With the output directory as the data directory, A's results CSV is A_results' data file. Its
+    # rows carry decisions that disagree with the human ones, so each command has rows to ask about.
+    judged = [dict(row, decision="excluded" if row["human_decision"] == "included" else "included") for row in DEFAULT_ROWS]
+    config = make_workspace(tmp_path, datasets={"A": DEFAULT_ROWS[:2], "A_results": judged[:3]})
+    data = tmp_path / "data"
+    kept = output_files(data)
+
+    result = invoke(config, command, "--dataset", "A", "--output-dir", spelling.format(data=data))
+    assert result.exit_code == 2, result.output
+    assert (
+        f"cannot write {spelling.format(data=data)}/A_results.csv: the results of dataset 'A' would replace "
+        "the data file of dataset 'A_results'"
+    ) in result.output
+    assert "Traceback" not in result.output
+    assert backend_calls == []
+    assert output_files(data) == kept
+    assert not (data / "run_log.jsonl").exists()
