@@ -17,7 +17,6 @@ import random
 import signal
 import sys
 import threading
-from contextlib import closing
 from pathlib import Path
 from typing import NamedTuple
 
@@ -26,22 +25,19 @@ import click
 from . import __version__
 from . import metrics as metrics_mod
 from .corpus import (
-    DECISION_CELLS,
     CorpusError,
-    Decision,
     ScreeningManifest,
     ScreeningRecord,
     UnknownDataset,
-    _decision_key,
-    clean_text,
+    check_outputs,
     csv_line,
+    data_path,
     fold_journal,
-    header_index,
     iter_records,
     journal_path,
     load_dataset,
     load_manifest,
-    read_rows,
+    read_decision_columns,
     results_path,
     write_files,
 )
@@ -230,7 +226,7 @@ def _dataset_names(manifest: ScreeningManifest, dataset: str | None) -> list[str
 def _source(config: AppConfig, name: str, resume: bool) -> Path:
     """The file dataset ``name`` is read from: its results CSV on a resume that has one, else its data file."""
     results = results_path(config.output_dir, name)
-    source = results if resume and results.exists() else config.data_dir / f"{name}.csv"
+    source = results if resume and results.exists() else data_path(config.data_dir, name)
     if not source.exists():
         raise CliFailure(f"dataset file not found: {source}")
     return source
@@ -255,24 +251,9 @@ def _load_records(
     return records
 
 
-def _check_no_clash(config: AppConfig, manifest: ScreeningManifest, names: list[str]) -> None:
-    """Exit 2 if the results CSV of one of ``names`` would replace a manifest dataset's data file."""
-    data_files = {(config.data_dir / f"{other}.csv").resolve(): other for other in manifest.names()}
-    for name in names:
-        path = results_path(config.output_dir, name)
-        other = data_files.get(path.resolve())
-        if other is not None:
-            raise CliFailure(
-                f"cannot write {path}: the results of dataset {name!r} would replace "
-                f"the data file of dataset {other!r}"
-            )
-
-
-def _check_not_directories(*paths: Path) -> None:
-    """Exit 2 if an output file has a directory in its place, before anything is removed or called."""
-    for path in paths:
-        if path.is_dir():
-            raise CliFailure(f"cannot write {path}: it is a directory")
+def _results(config: AppConfig, names: list[str]) -> dict[Path, str]:
+    """The results CSV of each of ``names``, with what it holds, for :func:`check_outputs`."""
+    return {results_path(config.output_dir, name): f"the results of dataset {name!r}" for name in names}
 
 
 def config_options(command):
@@ -304,7 +285,13 @@ def screen(dataset: str | None, resume: bool, **kwargs) -> None:
     config = load_app_config(kwargs)
     manifest = _load_manifest(config)
     names = _dataset_names(manifest, dataset)
-    _check_no_clash(config, manifest, names)
+    report_path = config.output_dir / RUN_REPORT_NAME
+    run_log = config.output_dir / RUN_LOG_NAME
+    results = _results(config, names)
+    # A resume reads the journals, and that read reports a directory in a journal's place.
+    journals = [] if resume else list(map(journal_path, results))
+    outputs = {run_log: "the run log", report_path: "the run report", **results}
+    check_outputs({**outputs, **dict.fromkeys(journals, "a journal")}, config.data_dir, manifest)
     # Bad input exits 2 before any removal or call. The first dataset is kept, and
     # popped at its turn; each later one is only checked now and read again at its
     # turn. So the run holds one dataset at a time.
@@ -312,18 +299,11 @@ def screen(dataset: str | None, resume: bool, **kwargs) -> None:
     for name in names[1:]:
         _load_records(config, manifest, name, resume, keep=False)
     backend = _make_backend(config)
-    report_path = config.output_dir / RUN_REPORT_NAME
-    run_log = config.output_dir / RUN_LOG_NAME
-    # Checked before the first call and the first removal, so a directory in a file's
-    # place bills no row and removes nothing. A run cut short then leaves no report,
-    # rather than the previous run's beside its results. Without --resume the results
-    # CSVs and journals go too, so a --resume after a killed run never counts a stale
-    # dataset as done, and no stale journal extends a fresh screen. The run log is
-    # appended to, never removed.
-    results = [] if resume else [results_path(config.output_dir, name) for name in names]
-    stale = [report_path, *results, *map(journal_path, results)]
-    _check_not_directories(run_log, *stale)
-    for path in stale:
+    # A run cut short then leaves no report, rather than the previous run's beside
+    # its results. Without --resume the results CSVs and journals go too, so a
+    # --resume after a killed run never counts a stale dataset as done, and no stale
+    # journal extends a fresh screen. The run log is appended to, never removed.
+    for path in [report_path] if resume else [report_path, *results, *journals]:
         path.unlink(missing_ok=True)
     datasets = (
         (name, first.pop(name) if name in first else _load_records(config, manifest, name, resume)) for name in names
@@ -358,11 +338,10 @@ def _run_explain(
     config = load_app_config(kwargs)
     manifest = _load_manifest(config)
     _dataset_names(manifest, dataset)
-    _check_no_clash(config, manifest, [dataset])
+    run_log = config.output_dir / RUN_LOG_NAME
+    check_outputs({run_log: "the run log", **_results(config, [dataset])}, config.data_dir, manifest)
     if sample is not None and sample < 0:
         raise CliFailure(f"--sample must be >= 0, got {sample}")
-    run_log = config.output_dir / RUN_LOG_NAME
-    _check_not_directories(run_log)
     results = results_path(config.output_dir, dataset)
     # A first screen killed before its dataset ended leaves a journal and no CSV.
     if not (results.exists() or journal_path(results).exists()):
@@ -431,38 +410,6 @@ def reflect(dataset: str, sample: int | None, rows: str | None, seed: int, **kwa
     _run_explain(dataset, PromptKind.REFLECT, sample, rows, seed, kwargs)
 
 
-def _decision_columns(
-    path: Path, truth_column: str, pred_column: str
-) -> tuple[list[Decision | None], list[Decision | None]]:
-    """Read two named decision columns from a results CSV, in one pass.
-
-    The file is read as :func:`load_dataset` reads it: header names match
-    case-insensitively and the first of duplicate names wins. Both columns
-    are found in the header before any row is read (the truth column is
-    checked first). Cells that are empty or not a known decision token count
-    as missing, which drops the row from the comparison (and shows up in the
-    ``dropped`` tally). Only the two decisions of each row are kept.
-    """
-    header, rows = read_rows(path)
-    with closing(rows):
-        index = header_index(header, path)
-        positions = []
-        for name in (truth_column, pred_column):
-            pos = index.get(clean_text(name).lower())
-            if pos is None:
-                raise CliFailure(f"{path}: missing column {name!r}")
-            positions.append(pos)
-        truth_pos, pred_pos = positions
-
-        truth: list[Decision | None] = []
-        pred: list[Decision | None] = []
-        for row in rows:
-            width = len(row)
-            truth.append(DECISION_CELLS.get(_decision_key(row[truth_pos])) if truth_pos < width else None)
-            pred.append(DECISION_CELLS.get(_decision_key(row[pred_pos])) if pred_pos < width else None)
-    return truth, pred
-
-
 def _format(value: float | None, places: int) -> str:
     return "-" if value is None else f"{value:.{places}f}"
 
@@ -521,13 +468,22 @@ def evaluate(dataset: str | None, evaluate_all: bool, truth: str, pred: str, **k
     config = load_app_config(kwargs)
     manifest = _load_manifest(config)
     names = _dataset_names(manifest, dataset)
+    # In the order the files are made below.
+    outputs = {
+        config.output_dir / f"{name}_confusion.{kind}": f"the confusion matrix of dataset {name!r}"
+        for name in names
+        for kind in ("csv", "svg")
+    }
+    outputs[config.output_dir / METRICS_JSON_NAME] = "the metrics"
+    outputs[config.output_dir / METRICS_TABLE_NAME] = "the metrics table"
+    check_outputs(outputs, config.data_dir, manifest)
 
     per_dataset: list[metrics_mod.DatasetMetrics] = []
     for name in names:
         path = results_path(config.output_dir, name)
         if not path.exists():
             raise CliFailure(f"results file not found (run `screen` first): {path}")
-        truth_col, pred_col = _decision_columns(path, truth, pred)
+        truth_col, pred_col = read_decision_columns(path, truth, pred)
         try:
             per_dataset.append(metrics_mod.DatasetMetrics.from_decisions(name, truth_col, pred_col))
         except metrics_mod.EmptyMatrix:
@@ -556,16 +512,14 @@ def evaluate(dataset: str | None, evaluate_all: bool, truth: str, pred: str, **k
 
     # Written once every dataset is scored, and replaced as one set: a failing
     # dataset, or a directory in a file's place, leaves every earlier file as it was.
-    files = {}
+    contents = []
     header = csv_line(["dataset", "tp", "fn", "fp", "tn", "dropped", "n"])
     for m in per_dataset:
         name, cm = m.dataset_name, m.confusion
         row = csv_line([name, *map(str, (cm.tp, cm.fn, cm.fp, cm.tn, cm.dropped, cm.n))])
-        files[config.output_dir / f"{name}_confusion.csv"] = [header, row]
-        files[config.output_dir / f"{name}_confusion.svg"] = [_confusion_svg(name, cm)]
-    files[config.output_dir / METRICS_JSON_NAME] = [json.dumps(document, indent=2), "\n"]
-    files[config.output_dir / METRICS_TABLE_NAME] = map(csv_line, [TABLE_COLUMNS, *table])
-    write_files(files)
+        contents += [[header, row], [_confusion_svg(name, cm)]]
+    contents += [[json.dumps(document, indent=2), "\n"], map(csv_line, [TABLE_COLUMNS, *table])]
+    write_files(dict(zip(outputs, contents)))
 
     click.echo(f"{'Dataset':<28} {'Accuracy':>9} {'Sens(Inc)':>10} {'Sens(Exc)':>10} {'Kappa':>7}")
     for label, accuracy, sens_inc, sens_exc, kappa in table:
@@ -579,11 +533,13 @@ def estimate_cost_cmd(**kwargs) -> None:
     """Project token usage, cost, and wall time for a full screening run."""
     config = load_app_config(kwargs)
     manifest = _load_manifest(config)
+    output = config.output_dir / ESTIMATE_JSON_NAME
+    check_outputs({output: "the cost estimate"}, config.data_dir, manifest)
     # Each file is checked and streamed at its turn, in manifest order, and no record is kept.
     datasets = ((name, iter_records(_source(config, name, resume=False), name, manifest)) for name in manifest.names())
     estimate = estimate_cost(manifest, datasets, config.run)
     document = {**estimate._asdict(), "per_dataset": [d._asdict() for d in estimate.per_dataset]}
-    write_files({config.output_dir / ESTIMATE_JSON_NAME: [json.dumps(document, indent=2), "\n"]})
+    write_files({output: [json.dumps(document, indent=2), "\n"]})
     for d in estimate.per_dataset:
         click.echo(
             f"{d.dataset_name}: {d.rows} rows, {d.input_tokens} input tokens, "

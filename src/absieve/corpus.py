@@ -14,13 +14,17 @@ The on-disk formats are plain CSV:
   since the results file was last written, or, before it first is, since
   the dataset file was read (see :func:`fold_journal`).
 
-Every CSV is read through :func:`read_rows`, which streams the data rows one
-at a time: a reader keeps only what it extracts, so its memory does not
-depend on the file's size. Input must be UTF-8 (a BOM is allowed); a file that
-is not, or that the csv module cannot parse, raises :class:`MalformedCsv`
+Every CSV is read here, through :func:`read_rows`, which streams the data
+rows one at a time: a reader keeps only what it extracts, so its memory does
+not depend on the file's size. Input must be UTF-8 (a BOM is allowed); a file
+that is not, or that the csv module cannot parse, raises :class:`MalformedCsv`
 naming its path and line. Every output file, the CLI's too, is written whole
 by :func:`write_files` (temporary files renamed over the old ones once all
-are written); a write that fails raises :class:`IoFailure`.
+are written); a write that fails raises :class:`IoFailure`. The file rules
+live here too: :func:`data_path`, :func:`results_path` and
+:func:`journal_path` name a dataset's files, and :func:`check_outputs` is
+how a command learns, before it reads or calls anything, that it cannot
+write its outputs.
 
 All text passes through :func:`clean_text`, so anything we write back out is
 single-line printable ASCII regardless of the input encoding.
@@ -82,6 +86,10 @@ class UnparseableDecisionValue(CorpusError):
 
 class IoFailure(CorpusError):
     pass
+
+
+class OutputClash(CorpusError):
+    """An output file that would replace a manifest dataset's data file."""
 
 
 class MalformedCsv(CorpusError):
@@ -216,6 +224,17 @@ def header_index(header: Sequence[str], path: str | Path) -> dict[str, int]:
     return index
 
 
+def _column(index: Mapping[str, int], column: str, path: str | Path, key: str | None = None) -> int:
+    """The position of ``column``, whose :func:`header_index` key is ``key`` (by default ``column.lower()``).
+
+    Raises :class:`MissingColumn` naming ``column`` when the header has no such key.
+    """
+    pos = index.get(column.lower() if key is None else key)
+    if pos is None:
+        raise MissingColumn(column, path)
+    return pos
+
+
 def _cell(row: Sequence[str], pos: int | None) -> str:
     if pos is None or pos >= len(row):
         return ""
@@ -298,18 +317,12 @@ def load_manifest(path: str | Path) -> ScreeningManifest:
     header, rows = read_rows(path)
     with closing(rows):
         index = header_index(header, path)
-
-        name_pos = index.get(MANIFEST_NAME_COLUMN.lower())
-        if name_pos is None:
-            raise MissingColumn(MANIFEST_NAME_COLUMN, path)
-        incl_pos = index.get(MANIFEST_INCLUSION_COLUMN.lower())
-        if incl_pos is None:
-            raise MissingColumn(MANIFEST_INCLUSION_COLUMN, path)
-        excl_pos = index.get(MANIFEST_EXCLUSION_COLUMN.lower())
-        if excl_pos is None:
-            excl_pos = index.get(MANIFEST_EXCLUSION_ALIAS.lower())
-        if excl_pos is None:
-            raise MissingColumn(MANIFEST_EXCLUSION_COLUMN, path)
+        # The correct spelling wins; without it, the alias (or None, so still missing) stands in.
+        index.setdefault(MANIFEST_EXCLUSION_COLUMN.lower(), index.get(MANIFEST_EXCLUSION_ALIAS.lower()))
+        name_pos, incl_pos, excl_pos = (
+            _column(index, column, path)
+            for column in (MANIFEST_NAME_COLUMN, MANIFEST_INCLUSION_COLUMN, MANIFEST_EXCLUSION_COLUMN)
+        )
 
         entries: list[ManifestEntry] = []
         seen: set[str] = set()
@@ -364,10 +377,7 @@ def iter_records(path: str | Path, name: str, manifest: ScreeningManifest) -> It
     header, rows = read_rows(path)
     with closing(rows):
         index = header_index(header, path)
-        for required in ("title", "abstract"):
-            if required not in index:
-                raise MissingColumn(required, path)
-        title_pos, abstract_pos = index["title"], index["abstract"]
+        title_pos, abstract_pos = _column(index, "title", path), _column(index, "abstract", path)
         human_pos, decision_pos = index.get("human_decision"), index.get("decision")
         explanation_pos, reflection_pos = index.get("explanation"), index.get("reflection")
 
@@ -386,6 +396,35 @@ def iter_records(path: str | Path, name: str, manifest: ScreeningManifest) -> It
                 explanation=explanation or None,
                 reflection=reflection or None,
             )
+
+
+def read_decision_columns(
+    path: str | Path, truth_column: str, pred_column: str
+) -> tuple[list[Decision | None], list[Decision | None]]:
+    """Read two named decision columns from a results CSV, in one pass.
+
+    The file is read as :func:`load_dataset` reads it: header names match
+    case-insensitively and the first of duplicate names wins. Both columns
+    are found in the header before any row is read (the truth column is
+    checked first), and one that is not there raises :class:`MissingColumn`.
+    Cells that are empty or not a known decision token count as missing,
+    which drops the row from the comparison (and shows up in the
+    ``dropped`` tally). Only the two decisions of each row are kept.
+    """
+    header, rows = read_rows(path)
+    with closing(rows):
+        index = header_index(header, path)
+        truth_pos, pred_pos = (
+            _column(index, name, path, key=clean_text(name).lower()) for name in (truth_column, pred_column)
+        )
+
+        truth: list[Decision | None] = []
+        pred: list[Decision | None] = []
+        for row in rows:
+            width = len(row)
+            truth.append(DECISION_CELLS.get(_decision_key(row[truth_pos])) if truth_pos < width else None)
+            pred.append(DECISION_CELLS.get(_decision_key(row[pred_pos])) if pred_pos < width else None)
+    return truth, pred
 
 
 def csv_line(cells: Sequence[str]) -> str:
@@ -428,9 +467,7 @@ def write_files(files: Mapping[Path, Iterable[str]]) -> None:
             temps[path] = tmp_name
             with os.fdopen(fd, "w", newline="", encoding="ascii") as fh:
                 fh.writelines(lines)
-        for path in temps:
-            if path.is_dir():
-                raise IoFailure(f"cannot write {path}: it is a directory")
+        _check_not_directories(temps)
         for path, tmp_name in temps.items():
             os.replace(tmp_name, path)
     except BaseException as exc:
@@ -465,6 +502,34 @@ def write_results(records: Iterable[ScreeningRecord], path: str | Path) -> None:
         for record in sorted(records, key=lambda r: r.row_index)
     )
     write_files({Path(path): chain((csv_line(RESULT_COLUMNS),), rows)})
+
+
+def _check_not_directories(paths: Iterable[Path]) -> None:
+    for path in paths:
+        if path.is_dir():
+            raise IoFailure(f"cannot write {path}: it is a directory")
+
+
+def check_outputs(outputs: Mapping[Path, str], data_dir: str | Path, manifest: ScreeningManifest) -> None:
+    """Check, before a command reads a dataset, removes a file or calls the model, that it can write ``outputs``.
+
+    ``outputs`` maps each file the command will write to what it holds
+    (``"the results of dataset 'A'"``). A file that is a manifest dataset's
+    data file, as it can be when the output directory is the data directory,
+    raises :class:`OutputClash` naming both; then a directory in a file's
+    place raises :class:`IoFailure`, as :func:`write_files` would.
+    """
+    data_files = {data_path(data_dir, name).resolve(): name for name in manifest.names()}
+    for path, holds in outputs.items():
+        other = data_files.get(path.resolve())
+        if other is not None:
+            raise OutputClash(f"cannot write {path}: {holds} would replace the data file of dataset {other!r}")
+    _check_not_directories(outputs)
+
+
+def data_path(data_dir: str | Path, name: str) -> Path:
+    """The data file of dataset ``name`` in ``data_dir``."""
+    return Path(data_dir) / f"{name}.csv"
 
 
 def results_path(output_dir: str | Path, name: str) -> Path:

@@ -28,6 +28,12 @@ mock backend, so a row's injected failures start over in every command.
 * A command exits 1 when a row it asked ends without a value (``screen``
   marks it ``error``). ``explain`` and ``reflect`` exit 2 with no eligible
   row, and ``evaluate`` when a dataset has no row decided on both sides.
+* ``screen --dataset`` screens that dataset alone. ``explain`` and
+  ``reflect`` with ``--sample K --seed S`` ask the K eligible rows that
+  ``random.Random(S).sample`` picks, all of them when K is not smaller.
+  ``evaluate --truth/--pred`` compares the columns whose header names match
+  after cleaning and lowercasing; a name that is neither decision column is
+  missing from the results CSV, and ``evaluate`` exits 2.
 
 A run-log line is ``(dataset, row, attempt, outcome, input_tokens,
 output_tokens)``: the log's ``latency_ms`` is left out.
@@ -38,6 +44,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import random
 from pathlib import Path
 from typing import NamedTuple
 
@@ -46,6 +53,8 @@ from absieve.llm import MockScript, parse_decision
 from absieve.prompts import build_decision_prompt, build_explain_prompt, build_reflect_prompt
 
 COLUMNS = ("title", "abstract", "human_decision", "decision", "explanation", "reflection")
+# The results CSV's two decision columns, by header name, as record fields.
+DECISION_FIELDS = {"human_decision": "human_decision", "decision": "model_decision"}
 
 
 class Command(NamedTuple):
@@ -95,10 +104,15 @@ class Reference:
         tokens = (math.ceil(len(prompt) / 4), math.ceil(len(text) / 4))
         return value, lines + [(name, row, failures + n, outcome, *tokens) for n in range(1, asks + 1)]
 
-    def screen(self, resume: bool = False) -> Command:
-        """``screen``: each dataset read afresh from ``data/`` (with ``resume``, as held), then its undecided rows asked."""
+    def screen(self, resume: bool = False, dataset: str | None = None) -> Command:
+        """``screen``, or with ``dataset``, ``screen --dataset``.
+
+        Each dataset is read afresh from ``data/`` (with ``resume``, as held), then its undecided rows are asked.
+        """
         datasets, log = {}, []
         for name, criteria in self.criteria.items():
+            if dataset is not None and name != dataset:
+                continue
             if not resume or name not in self.records:
                 self.records[name] = [
                     ScreeningRecord(n, clean_text(row["title"]), clean_text(row["abstract"]),
@@ -124,8 +138,8 @@ class Reference:
         errors = sum(counts["error_count"] for counts in datasets.values())
         return Command(1 if errors else 0, sorted(log), report)
 
-    def annotate(self, name: str, reflect: bool) -> Command:
-        """``explain`` (or with ``reflect``, ``reflect``) over every eligible row of ``name``."""
+    def annotate(self, name: str, reflect: bool, sample: int | None = None, seed: int = 0) -> Command:
+        """``explain`` (or with ``reflect``, ``reflect``) over every eligible row of ``name``, or ``sample`` of them."""
         records, criteria = self.records[name], self.criteria[name]
         if reflect:
             eligible = [r for r in records if r.model_decision in DECIDED and r.human_decision in DECIDED
@@ -134,6 +148,8 @@ class Reference:
             eligible = [r for r in records if r.model_decision in DECIDED and r.human_decision is not None]
         if not eligible:
             return Command(2, [])
+        if sample is not None and sample < len(eligible):
+            eligible = random.Random(seed).sample(eligible, sample)
         build, column = (build_reflect_prompt, "reflection") if reflect else (build_explain_prompt, "explanation")
         log, errors = [], 0
         for record in eligible:
@@ -146,13 +162,19 @@ class Reference:
                 setattr(record, column, value)
         return Command(1 if errors else 0, sorted(log))
 
-    def columns(self, name: str) -> tuple[list[Decision | None], list[Decision | None]]:
-        """The ``human_decision`` and ``decision`` columns that ``evaluate`` compares."""
-        return [r.human_decision for r in self.records[name]], [r.model_decision for r in self.records[name]]
+    def columns(
+        self, name: str, truth: str = "human_decision", pred: str = "decision"
+    ) -> tuple[list[Decision | None], list[Decision | None]]:
+        """The ``truth`` and ``pred`` columns that ``evaluate`` compares; both must name a decision column."""
+        fields = [DECISION_FIELDS[clean_text(column).lower()] for column in (truth, pred)]
+        return tuple([getattr(r, field) for r in self.records[name]] for field in fields)
 
-    def evaluate(self) -> Command:
-        """``evaluate``: exit 2 when any dataset has no row decided on both sides."""
-        comparable = (any(t in DECIDED and p in DECIDED for t, p in zip(*self.columns(n))) for n in self.records)
+    def evaluate(self, dataset: str | None = None, truth: str = "human_decision", pred: str = "decision") -> Command:
+        """``evaluate``: exit 2 when a column is missing or a dataset has no row decided on both sides."""
+        if not all(clean_text(column).lower() in DECISION_FIELDS for column in (truth, pred)):
+            return Command(2, [])
+        names = self.records if dataset is None else [dataset]
+        comparable = (any(t in DECIDED and p in DECIDED for t, p in zip(*self.columns(n, truth, pred))) for n in names)
         return Command(0 if all(comparable) else 2, [])
 
     def results_csv(self, name: str) -> bytes:

@@ -24,11 +24,13 @@ from absieve.corpus import (
     CriteriaSet,
     Decision,
     ManifestEntry,
+    MissingColumn,
     ScreeningManifest,
     ScreeningRecord,
     clean_text,
     fold_journal,
     load_dataset,
+    read_decision_columns,
 )
 from absieve.llm import MockBackend
 from absieve.prompts import PromptKind
@@ -1437,7 +1439,7 @@ class TestDecisionColumns:
         writer.writerows(rows)
         path = tmp_path_factory.mktemp("d") / "IVM_results.csv"
         path.write_text(text.getvalue(), encoding="utf-8", newline="")
-        assert cli._decision_columns(path, truth, pred) == oracle_decision_columns(path, truth, pred)
+        assert read_decision_columns(path, truth, pred) == oracle_decision_columns(path, truth, pred)
 
     def test_spellings_blank_lines_and_one_column_twice(self, tmp_path):
         path = tmp_path / "IVM_results.csv"
@@ -1450,31 +1452,31 @@ class TestDecisionColumns:
             b"t2\r\n"
             b"t3,error,\r\n"
         )
-        truth, pred = cli._decision_columns(path, "decision", "decision")
+        truth, pred = read_decision_columns(path, "decision", "decision")
         assert truth == pred == [Decision.INCLUDED, None, None, Decision.ERROR]
-        assert cli._decision_columns(path, "human_decision", "decision")[0] == [
+        assert read_decision_columns(path, "human_decision", "decision")[0] == [
             Decision.EXCLUDED, Decision.EXCLUDED, None, None
         ]
 
     def test_missing_truth_column_is_named_before_pred(self, tmp_path):
         path = write_dataset(tmp_path / "IVM_results.csv", DEFAULT_ROWS)
-        with pytest.raises(cli.CliFailure, match="'gold'"):
-            cli._decision_columns(path, "gold", "guess")
-        with pytest.raises(cli.CliFailure, match="'guess'"):
-            cli._decision_columns(path, "human_decision", "guess")
+        with pytest.raises(MissingColumn, match="'gold'"):
+            read_decision_columns(path, "gold", "guess")
+        with pytest.raises(MissingColumn, match="'guess'"):
+            read_decision_columns(path, "human_decision", "guess")
 
     def test_peak_memory_stays_under_1mb_for_a_4mb_file(self, tmp_path):
         path = write_large_results(tmp_path / "IVM_results.csv", rows=2600)
         assert path.stat().st_size >= 4_000_000
         (truth, pred), _, peak = traced_peak(
-            lambda: cli._decision_columns(path, "human_decision", "decision")
+            lambda: read_decision_columns(path, "human_decision", "decision")
         )
         assert len(truth) == len(pred) == 2600
         assert peak < 1_000_000, peak
 
     def test_a_text_column_as_pred_keeps_no_cell(self, tmp_path):
         path = write_large_results(tmp_path / "IVM_results.csv", rows=2600)
-        (_, pred), _, peak = traced_peak(lambda: cli._decision_columns(path, "human_decision", "abstract"))
+        (_, pred), _, peak = traced_peak(lambda: read_decision_columns(path, "human_decision", "abstract"))
         assert pred == [None] * 2600
         assert peak < 1_000_000, peak
 
@@ -1485,7 +1487,7 @@ class TestDecisionColumns:
         with reported_unraisable() as reported:
             result = invoke(config, "evaluate", "--dataset", "IVM", "--pred", "nonexistent")
             assert result.exit_code == 2
-            assert "missing column 'nonexistent'" in result.output
+            assert "required column 'nonexistent' not found" in result.output
             # Closed while the result still holds the failure's traceback.
             assert any(Path(fh.name).name == "IVM_results.csv" for fh in corpus_files)
             assert all(fh.closed for fh in corpus_files)

@@ -1,10 +1,13 @@
 """Every file absieve's commands write equals what the sequential reference screener works out.
 
-Hypothesis draws a workspace, a mock script and run settings. The real CLI
-then runs in process: ``screen`` (or a ``screen`` interrupted after k calls,
-then ``screen --resume``), ``explain`` and ``reflect`` on every dataset, and
-``evaluate``. After each command its results CSVs, run-log lines, report,
-metrics and exit code are compared with :mod:`reference`.
+Hypothesis draws a workspace, a mock script, run settings and flags. The
+real CLI then runs in process: ``screen --dataset`` of one dataset (when
+drawn), ``screen`` (or a ``screen`` interrupted after k calls, then
+``screen --resume``), ``explain`` and ``reflect`` on every dataset (with
+``--sample K --seed S`` when drawn), ``evaluate``, and ``evaluate
+--dataset`` with ``--truth``/``--pred`` (when drawn). After each command
+its results CSVs, run-log lines, report, metrics and exit code are
+compared with :mod:`reference`.
 """
 
 from __future__ import annotations
@@ -35,6 +38,8 @@ NAMES = ("IVM", "Statins", "PCSK9")
 # Non-ASCII, commas, quotes, braces and line breaks: everything clean_text and csv.writer must handle.
 ALPHABET = 'ab Z,"\'{}é—“\n\t'
 REPLIES = ["included", "excluded", "Included.", " EXCLUDED ", "included or excluded", "no idea", ""]
+# Spellings of the two decision columns, and a name that is no column.
+COLUMN_NAMES = ["human_decision", "decision", " Decision", "HUMAN_DECISION", "gold"]
 
 
 def _text(rng: random.Random) -> str:
@@ -76,6 +81,18 @@ def workspaces(draw) -> tuple[dict, dict]:
             if status:
                 script["failures"][f"{name}/{n}"] = {"status": status, "count": rng.randint(0, 3)}
     return datasets, script
+
+
+@st.composite
+def optional_flags(draw) -> dict:
+    """Optional flags; a dataset is drawn as an index into the workspace's, taken modulo their count."""
+    dataset = st.integers(0, len(NAMES) - 1)
+    return {
+        "screen_one": draw(st.none() | dataset),
+        "sample": draw(st.none() | st.integers(0, 8)),
+        "seed": draw(st.integers(0, 2**16)),
+        "evaluate_one": draw(st.none() | st.tuples(dataset, *[st.sampled_from(COLUMN_NAMES)] * 2)),
+    }
 
 
 def _run(config: Path, *args: str) -> int:
@@ -144,8 +161,10 @@ def _assert_metrics(entry: dict, oracle: dict) -> None:
 # No explain phase: after a failure it re-ran the test for a minute and grew to a
 # gigabyte while it tried each argument, where shrinking alone takes seconds.
 @settings(deadline=None, max_examples=60, phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink])
-@given(workspaces(), st.integers(1, 4), st.integers(0, 2), st.booleans(), st.integers(0, 100))
-def test_every_command_writes_what_the_reference_works_out(workspace, max_in_flight, max_retries, interrupt, percent):
+@given(workspaces(), st.integers(1, 4), st.integers(0, 2), st.booleans(), st.integers(0, 100), optional_flags())
+def test_every_command_writes_what_the_reference_works_out(
+    workspace, max_in_flight, max_retries, interrupt, percent, flags
+):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         datasets, script = workspace
@@ -157,6 +176,15 @@ def test_every_command_writes_what_the_reference_works_out(workspace, max_in_fli
         script = MockScript.from_file(root / "mock_script.json")
         ref = Reference(root, script, max_retries)
         names = list(ref.criteria)
+
+        if flags["screen_one"] is not None:
+            one = names[flags["screen_one"] % len(names)]
+            want = ref.screen(dataset=one)
+            assert _run(config, "screen", "--dataset", one) == want.exit_code
+            assert log.new() == want.log
+            _assert_report(out, want)
+            assert sorted(p.name for p in out.glob("*_results.csv")) == [f"{one}_results.csv"]
+            assert (out / f"{one}_results.csv").read_bytes() == ref.results_csv(one)
 
         want = ref.screen()
         if not interrupt:
@@ -198,10 +226,11 @@ def test_every_command_writes_what_the_reference_works_out(workspace, max_in_fli
         for name in names:
             assert (out / f"{name}_results.csv").read_bytes() == ref.results_csv(name), name
 
+        sample = [] if flags["sample"] is None else ["--sample", str(flags["sample"]), "--seed", str(flags["seed"])]
         for name in names:
             for command in ("explain", "reflect"):
-                want = ref.annotate(name, reflect=command == "reflect")
-                assert _run(config, command, "--dataset", name) == want.exit_code, (command, name)
+                want = ref.annotate(name, reflect=command == "reflect", sample=flags["sample"], seed=flags["seed"])
+                assert _run(config, command, "--dataset", name, *sample) == want.exit_code, (command, name)
                 assert log.new() == want.log
                 assert (out / f"{name}_results.csv").read_bytes() == ref.results_csv(name), (command, name)
 
@@ -214,6 +243,20 @@ def test_every_command_writes_what_the_reference_works_out(workspace, max_in_fli
                 _assert_metrics(entry, brute_force_metrics(*ref.columns(name)))
         else:
             assert not (out / "metrics.json").exists()
+
+        if flags["evaluate_one"] is not None:
+            index, truth, pred = flags["evaluate_one"]
+            name, metrics = names[index % len(names)], out / "metrics.json"
+            before = metrics.read_bytes() if metrics.exists() else None
+            want = ref.evaluate(name, truth, pred)
+            assert _run(config, "evaluate", "--dataset", name, "--truth", truth, "--pred", pred) == want.exit_code
+            if want.exit_code == 0:
+                document = json.loads(metrics.read_text())
+                assert (document["truth_column"], document["pred_column"]) == (truth, pred)
+                assert [entry["dataset_name"] for entry in document["datasets"]] == [name]
+                _assert_metrics(document["datasets"][0], brute_force_metrics(*ref.columns(name, truth, pred)))
+            else:
+                assert (metrics.read_bytes() if metrics.exists() else None) == before
         assert not [p.name for p in out.iterdir() if p.name.endswith((".journal.jsonl", ".tmp"))]
 
 
@@ -225,6 +268,21 @@ def test_the_reference_shares_no_runner_thread_reader_or_writer_with_absieve():
     }
     names = {alias.name for node in froms for alias in node.names}
     assert not modules & {"absieve.runner", "threading", "concurrent.futures", "multiprocessing"}
-    readers_and_writers = {"load_manifest", "load_dataset", "read_rows", "header_index", "write_results",
-                           "write_files", "csv_line", "fold_journal", "journal_entry"}
+    readers_and_writers = {"load_manifest", "load_dataset", "read_rows", "header_index", "read_decision_columns",
+                           "write_results", "write_files", "csv_line", "fold_journal", "journal_entry"}
     assert not names & readers_and_writers
+
+
+def test_corpus_is_the_one_csv_module_and_the_cli_imports_only_its_public_names():
+    csv_users, private = set(), []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import) and any(alias.name == "csv" for alias in node.names):
+                csv_users.add(path.name)
+            elif isinstance(node, ast.ImportFrom):
+                if node.module == "csv":
+                    csv_users.add(path.name)
+                if path.name == "cli.py" and node.module in ("corpus", "absieve.corpus"):
+                    private += [alias.name for alias in node.names if alias.name.startswith("_")]
+    assert csv_users == {"corpus.py"}
+    assert private == []

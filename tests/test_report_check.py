@@ -4,7 +4,9 @@ The report is written after the last call, so a failure found only then
 would come after every row was billed. A directory in the place of a
 results CSV, a journal or the run log is found before any file is removed,
 too, and so is a results CSV that would replace a manifest dataset's data
-file (possible when ``paths.output_dir`` is ``paths.data_dir``).
+file (possible when ``paths.output_dir`` is ``paths.data_dir``). `evaluate`
+finds a confusion CSV or metrics table that would replace a data file
+before it reads any results file.
 """
 
 from __future__ import annotations
@@ -93,3 +95,34 @@ def test_results_that_would_replace_a_data_file_exit_before_any_read_or_call(
     assert backend_calls == []
     assert output_files(data) == kept
     assert not (data / "run_log.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "args,taken,holds",
+    [
+        (["--all"], "A_confusion.csv", "the confusion matrix of dataset 'A'"),
+        (["--dataset", "metrics_table"], "metrics_table.csv", "the metrics table"),
+    ],
+    ids=["all", "dataset"],
+)
+def test_evaluate_files_that_would_replace_a_data_file_exit_before_any_read(
+    tmp_path, corpus_files, args, taken, holds
+):
+    # With the output directory as the data directory, A's confusion CSV is A_confusion's data
+    # file and the metrics table is metrics_table's. Every dataset has been screened there.
+    datasets = {"A": DEFAULT_ROWS, "A_confusion": DEFAULT_ROWS[:2], "metrics_table": DEFAULT_ROWS[:3]}
+    config = make_workspace(tmp_path, datasets=datasets)
+    data = tmp_path / "data"
+    assert invoke(config, "screen", "--output-dir", str(data)).exit_code == 0
+    kept = output_files(data)
+    assert {"A.csv", "A_confusion.csv", "metrics_table.csv", "A_results.csv"} <= set(kept)
+    corpus_files.clear()
+
+    result = invoke(config, "evaluate", *args, "--output-dir", str(data))
+    assert result.exit_code == 2, result.output
+    other = taken.removesuffix(".csv")
+    assert f"cannot write {data / taken}: {holds} would replace the data file of dataset {other!r}" in result.output
+    assert "Traceback" not in result.output
+    assert not [fh.name for fh in corpus_files if fh.name.endswith("_results.csv")]
+    assert output_files(data) == kept
+    assert not (data / "metrics.json").exists()
