@@ -10,23 +10,25 @@ Every call of a command belongs to one run: ``_running`` validates the
 config, builds the one rate limiter and opens the one run log, and yields
 them with the backend as a ``_Run``, the first argument of every ``_call``.
 
-Screening and explain/reflect share one call path and one dispatcher.
-``_call`` builds each request and does limiter, backend call, run-log line,
-transient retry with full-jitter backoff and fatal stop; screening adds only
-an "accept this reply?" hook that triggers its single re-ask. ``_dispatch``
-runs a worker function over the rows on ``max_in_flight`` threads that take
-rows from one shared iterator and hand replies back through one completion
-queue. At most ``2 * max_in_flight`` rows are taken ahead of the caller, and
-handing a reply back costs the same however many calls are pending, so the
-cost per row stays flat as a dataset grows.
+Screening, explain and reflect share one fill loop, ``_fill``: it asks the
+model about the chosen rows, sets one field on each row that finishes,
+journals it, and writes the results CSV once. ``_call`` builds each request
+and does limiter, backend call, run-log line, transient retry with
+full-jitter backoff and fatal stop; each command adds only an "accept this
+reply?" hook that triggers its single re-ask. ``_dispatch`` runs a worker
+function over the rows on ``max_in_flight`` threads that take rows from one
+shared iterator and hand replies back through one completion queue. At most
+``2 * max_in_flight`` rows are taken ahead of the caller, and handing a reply
+back costs the same however many calls are pending, so the cost per row
+stays flat as a dataset grows.
 
-They also share one writer, ``_journaled``: an append-only journal gets one
-line per finished row, so persisting a row costs the same at any dataset
-size, and the results CSV is written in full (an atomic replace) once, when
-a run ends, done or interrupted. A journal extends the file its run read the
-records from: the results CSV, or the dataset file while no results CSV
-exists yet. A run folds in any journal left by a killed run and appends to
-it, so after an interrupt anywhere a rerun reaches the same file.
+An append-only journal gets one line per finished row, so persisting a row
+costs the same at any dataset size, and the results CSV is written in full
+(an atomic replace) once, when a fill ends, done or interrupted. A journal
+extends the file its run read the records from: the results CSV, or the
+dataset file while no results CSV exists yet. A fill folds in any journal
+left by a killed run and appends to it, so after an interrupt anywhere a
+rerun reaches the same file.
 """
 
 from __future__ import annotations
@@ -37,10 +39,10 @@ import queue
 import random
 import threading
 import time
-from contextlib import closing, contextmanager, nullcontext
+from contextlib import closing, contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Protocol, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, NamedTuple, Protocol, Sequence
 
 from .corpus import (
     DECIDED,
@@ -375,9 +377,18 @@ def _decided(text: str) -> tuple[Decision, bool]:
     return decision, decision in DECIDED
 
 
-@contextmanager
-def _journaled(records: Sequence[ScreeningRecord], path: Path) -> Iterator[TextIO]:
-    """Yield the journal for finished rows; then write ``records`` to the CSV at ``path``.
+def _fill(
+    run: _Run, name: str, records: Sequence[ScreeningRecord], asked: Iterable[ScreeningRecord], field: str,
+    build: Callable[[ScreeningRecord], PromptText], accept: Callable[[str], tuple[object, bool]] | None,
+    max_tokens: int, path: Path, failed: object = None,
+) -> tuple[int, int, int]:
+    """Ask about each ``asked`` row, set and journal ``field`` on it; then write ``records`` to the CSV at ``path``.
+
+    ``field`` is the results column filled: ``decision`` (the record's
+    ``model_decision``), ``explanation`` or ``reflection``. A row whose calls
+    all fail gets ``failed``; with ``None`` it keeps what it held and gets no
+    journal line. Returns the tokens of every attempt and the number of rows
+    whose calls all failed.
 
     Any journal already at ``path`` must be folded into ``records``: it is
     kept, cut after its last newline (a torn last line is one
@@ -386,6 +397,8 @@ def _journaled(records: Sequence[ScreeningRecord], path: Path) -> Iterator[TextI
     if that fails the journal on disk still holds every finished row for the
     next run.
     """
+    input_tokens = output_tokens = failures = 0
+    replies = _dispatch(run.config, asked, lambda r: _call(run, name, r, build(r), max_tokens, accept))
     journal_file = journal_path(path)
     try:
         with open(journal_file, "r+b") as leftover:
@@ -394,50 +407,25 @@ def _journaled(records: Sequence[ScreeningRecord], path: Path) -> Iterator[TextI
         pass
     journal = open(journal_file, "a", encoding="ascii", buffering=1)
     try:
-        yield journal
+        with closing(replies):
+            for record, reply in replies:
+                input_tokens += reply.input_tokens
+                output_tokens += reply.output_tokens
+                failures += reply.value is None
+                value = failed if reply.value is None else reply.value
+                if value is not None:
+                    setattr(record, "model_decision" if field == "decision" else field, value)
+                    journal.write(journal_entry(record, field))
     finally:
         journal.close()
         write_results(records, path)
         journal_file.unlink()
-
-
-def _screen_dataset(
-    run: _Run, name: str, criteria: CriteriaSet, records: list[ScreeningRecord], out_dir: Path, report: RunReport
-) -> None:
-    """Screen one dataset's undecided rows and add its counts and tokens to ``report``.
-
-    Everything this holds of the dataset is gone when it returns, the last
-    record and reply a loop left bound included.
-    """
-    pending = [r for r in records if r.model_decision is None]
-
-    def screen(record: ScreeningRecord) -> _Reply:
-        prompt = build_decision_prompt(record, criteria)
-        return _call(run, name, record, prompt, DECISION_MAX_TOKENS, _decided)
-
-    replies = _dispatch(run.config, pending, screen)
-    with _journaled(records, results_path(out_dir, name)) as journal, closing(replies):
-        for record, reply in replies:
-            record.model_decision = Decision.ERROR if reply.value is None else reply.value
-            report.input_tokens += reply.input_tokens
-            report.output_tokens += reply.output_tokens
-            journal.write(journal_entry(record))
-    decisions = [r.model_decision for r in pending]
-    report.datasets[name] = DatasetStats(
-        rows_total=len(records),
-        rows_screened=len(decisions),
-        rows_skipped_resume=len(records) - len(decisions),
-        included_count=decisions.count(Decision.INCLUDED),
-        excluded_count=decisions.count(Decision.EXCLUDED),
-        unparseable_count=decisions.count(Decision.UNPARSEABLE),
-        error_count=decisions.count(Decision.ERROR),
-        empty_abstract_count=sum(1 for r in records if not r.abstract),
-    )
+    return input_tokens, output_tokens, failures
 
 
 def run_screening(
     manifest: ScreeningManifest,
-    datasets: Mapping[str, list[ScreeningRecord]] | Iterable[tuple[str, list[ScreeningRecord]]],
+    datasets: Iterable[tuple[str, list[ScreeningRecord]]],
     backend: Backend,
     config: RunConfig,
     output_dir: str | Path,
@@ -445,11 +433,11 @@ def run_screening(
 ) -> RunReport:
     """Screen every undecided row of every dataset and checkpoint as we go.
 
-    ``datasets`` maps each name to its records, or is an iterable of
-    ``(name, records)`` pairs. Pairs are pulled one at a time, as the
-    previous dataset ends, and each dataset is released before the next is
-    pulled, so an iterable that reads each dataset when pulled holds one
-    dataset at a time (as ``absieve screen`` does).
+    ``datasets`` is an iterable of ``(name, records)`` pairs. Pairs are
+    pulled one at a time, as the previous dataset ends, and each dataset is
+    released before the next is pulled, so an iterable that reads each
+    dataset when pulled holds one dataset at a time (as ``absieve screen``
+    does).
 
     Rows that already carry a model decision are skipped (that is the whole
     resume contract); only a row with no decision is screened, so a row that
@@ -471,9 +459,23 @@ def run_screening(
     with _running(backend, config, run_log_path) as run:
         out_dir = Path(output_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        for name, records in datasets.items() if isinstance(datasets, Mapping) else datasets:
-            _screen_dataset(run, name, manifest.criteria_for(name), records, out_dir, report)
-            del records  # a `for` keeps it bound while it pulls the next pair
+        for name, records in datasets:
+            criteria = manifest.criteria_for(name)
+            pending = [r for r in records if r.model_decision is None]
+            input_tokens, output_tokens, _ = _fill(
+                run, name, records, pending, "decision", lambda record: build_decision_prompt(record, criteria),
+                _decided, DECISION_MAX_TOKENS, results_path(out_dir, name), Decision.ERROR,
+            )
+            report.input_tokens += input_tokens
+            report.output_tokens += output_tokens
+            decisions = [r.model_decision for r in pending]
+            report.datasets[name] = DatasetStats(
+                rows_total=len(records), rows_screened=len(pending), rows_skipped_resume=len(records) - len(pending),
+                included_count=decisions.count(Decision.INCLUDED), excluded_count=decisions.count(Decision.EXCLUDED),
+                unparseable_count=decisions.count(Decision.UNPARSEABLE), error_count=decisions.count(Decision.ERROR),
+                empty_abstract_count=sum(1 for r in records if not r.abstract),
+            )
+            del records, pending  # a `for` keeps them bound while it pulls the next pair
 
     report.wall_time_s = time.monotonic() - run_started
     report.estimated_cost = config.cost(report.input_tokens, report.output_tokens)
@@ -490,17 +492,22 @@ class ExplainReport:
     output_tokens: int = 0
 
 
+def _narrative(mode: PromptKind) -> tuple[str, Callable[..., PromptText]]:
+    """The column ``mode`` fills and its prompt builder; ``ValueError`` unless it is EXPLAIN or REFLECT."""
+    if mode is PromptKind.EXPLAIN:
+        return "explanation", build_explain_prompt
+    if mode is PromptKind.REFLECT:
+        return "reflection", build_reflect_prompt
+    raise ValueError(f"mode must be EXPLAIN or REFLECT, got {mode}")
+
+
 def eligible_for(mode: PromptKind, record: ScreeningRecord) -> bool:
     """Whether ``record`` can be explained (EXPLAIN) or reflected on (REFLECT)."""
+    _narrative(mode)  # the one check of the mode
+    human, model = record.human_decision, record.model_decision
     if mode is PromptKind.EXPLAIN:
-        return record.model_decision in DECIDED and record.human_decision is not None
-    if mode is PromptKind.REFLECT:
-        return (
-            record.model_decision in DECIDED
-            and record.human_decision in DECIDED
-            and record.human_decision is not record.model_decision
-        )
-    raise ValueError(f"mode must be EXPLAIN or REFLECT, got {mode}")
+        return model in DECIDED and human is not None
+    return model in DECIDED and human in DECIDED and human is not model
 
 
 def run_explanations(
@@ -511,9 +518,10 @@ def run_explanations(
     mode: PromptKind,
     dataset_name: str,
     run_log_path: str | Path | None = None,
-    results: tuple[Sequence[ScreeningRecord], Path] | None = None,
+    *,
+    results: tuple[Sequence[ScreeningRecord], Path],
 ) -> ExplainReport:
-    """Fill ``explanation`` or ``reflection`` on the given records in place.
+    """Fill ``explanation`` or ``reflection`` on the given records in place, and persist them.
 
     EXPLAIN needs a parsed model decision and a recorded human decision;
     REFLECT additionally needs the two to disagree. Rows that do not qualify
@@ -522,35 +530,22 @@ def run_explanations(
     is no re-ask.
 
     ``results`` is ``(table, path)``: the dataset the records belong to, with
-    any journal at the results CSV ``path`` folded in, for :func:`_journaled`
-    to persist each annotation as screening persists rows.
+    any journal at the results CSV ``path`` folded in. Each annotation is
+    journaled as screening journals a row, and the table is written to
+    ``path`` when the run ends.
     """
-    if mode not in (PromptKind.EXPLAIN, PromptKind.REFLECT):
-        raise ValueError(f"mode must be EXPLAIN or REFLECT, got {mode}")
-    report = ExplainReport(mode=mode)
+    column, build = _narrative(mode)
     eligible = [r for r in records if eligible_for(mode, r)]
-    report.skipped_count = len(records) - len(eligible)
-    build = build_explain_prompt if mode is PromptKind.EXPLAIN else build_reflect_prompt
-    column = "explanation" if mode is PromptKind.EXPLAIN else "reflection"
-    journaled = nullcontext() if results is None else _journaled(*results)
-
-    def annotate(record: ScreeningRecord) -> _Reply:
-        prompt = build(record, criteria, record.human_decision, record.model_decision)
-        return _call(run, dataset_name, record, prompt, NARRATIVE_MAX_TOKENS)
-
-    replies = _dispatch(config, eligible, annotate)
-    with _running(backend, config, run_log_path) as run, journaled as journal, closing(replies):
-        for record, reply in replies:
-            report.input_tokens += reply.input_tokens
-            report.output_tokens += reply.output_tokens
-            if reply.value is None:
-                report.error_count += 1
-                continue
-            setattr(record, column, reply.value)
-            report.annotated_count += 1
-            if journal is not None:
-                journal.write(journal_entry(record, column))
-    return report
+    table, path = results
+    with _running(backend, config, run_log_path) as run:
+        input_tokens, output_tokens, failures = _fill(
+            run, dataset_name, table, eligible, column,
+            lambda record: build(record, criteria, record.human_decision, record.model_decision),
+            None, NARRATIVE_MAX_TOKENS, path,
+        )
+    return ExplainReport(
+        mode, len(eligible) - failures, len(records) - len(eligible), failures, input_tokens, output_tokens
+    )
 
 
 class DatasetCostEstimate(NamedTuple):
@@ -571,15 +566,15 @@ class CostEstimate(NamedTuple):
 
 def estimate_cost(
     manifest: ScreeningManifest,
-    datasets: Mapping[str, Iterable[ScreeningRecord]] | Iterable[tuple[str, Iterable[ScreeningRecord]]],
+    datasets: Iterable[tuple[str, Iterable[ScreeningRecord]]],
     config: RunConfig,
 ) -> CostEstimate:
     """Project token usage, cost, and wall time for screening ``datasets``.
 
-    ``datasets`` maps each name to its records, or is an iterable of
-    ``(name, records)`` pairs. Records are counted as they are iterated and
-    none is kept, so a stream of records (:func:`absieve.corpus.iter_records`)
-    is estimated one row at a time, as ``absieve estimate-cost`` does.
+    ``datasets`` is an iterable of ``(name, records)`` pairs. Records are
+    counted as they are iterated and none is kept, so a stream of records
+    (:func:`absieve.corpus.iter_records`) is estimated one row at a time, as
+    ``absieve estimate-cost`` does.
 
     Input tokens come from the character-count heuristic over every rendered
     decision prompt; output is one token per row. Projected wall time is a
@@ -587,7 +582,7 @@ def estimate_cost(
     """
     config.validate()
     per_dataset = []
-    for name, records in datasets.items() if isinstance(datasets, Mapping) else datasets:
+    for name, records in datasets:
         criteria = manifest.criteria_for(name)
         rows = input_tokens = 0
         for record in records:

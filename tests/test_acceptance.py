@@ -284,17 +284,17 @@ def test_criterion_6_resume_idempotence(tmp_path, interrupt_after):
         return [ScreeningRecord(i, f"title {i}", f"abstract {i}") for i in range(n)]
 
     straight_dir = tmp_path / "straight"
-    run_screening(MANIFEST, {"D": records()}, MockBackend(script), config, straight_dir)
+    run_screening(MANIFEST, [("D", records())], MockBackend(script), config, straight_dir)
     expected = (straight_dir / "D_results.csv").read_bytes()
 
     crashed_dir = tmp_path / f"crash_{interrupt_after}"
     backend = _AbortAfter(MockBackend(script), allowed=interrupt_after)
     with pytest.raises(KeyboardInterrupt):
-        run_screening(MANIFEST, {"D": records()}, backend, config, crashed_dir)
+        run_screening(MANIFEST, [("D", records())], backend, config, crashed_dir)
 
     resumed = load_dataset(crashed_dir / "D_results.csv", "D", MANIFEST)
     assert sum(1 for r in resumed if r.model_decision is not None) <= interrupt_after
-    run_screening(MANIFEST, {"D": resumed}, MockBackend(script), config, crashed_dir)
+    run_screening(MANIFEST, [("D", resumed)], MockBackend(script), config, crashed_dir)
     assert (crashed_dir / "D_results.csv").read_bytes() == expected
 
 
@@ -303,7 +303,7 @@ def test_criterion_7_throughput_and_inflight_limits(tmp_path):
     backend = MockBackend(MockScript.from_dict({"default": "excluded"}), delay_s=0.6)
     config = RunConfig(requests_per_minute=120, max_in_flight=4, backoff_base_s=0.001)
     records = [ScreeningRecord(i, f"title {i}", "abstract") for i in range(50)]
-    run_screening(MANIFEST, {"D": records}, backend, config, tmp_path)
+    run_screening(MANIFEST, [("D", records)], backend, config, tmp_path)
 
     starts = sorted(backend.start_times())
     assert len(starts) == 50
@@ -322,12 +322,12 @@ def test_criterion_8_cost_estimator():
     assert len(build_decision_prompt(record, criteria).body) == 2000
 
     rows = [record] * 1000
-    estimate = estimate_cost(MANIFEST, {"D": rows}, config)
+    estimate = estimate_cost(MANIFEST, [("D", rows)], config)
     assert estimate.total_input_tokens == 500_000
     assert estimate.total_output_tokens == 1000
     assert estimate.cost == pytest.approx(0.752, abs=1e-9)
 
-    empty = estimate_cost(MANIFEST, {"D": []}, config)
+    empty = estimate_cost(MANIFEST, [("D", [])], config)
     assert empty.cost == 0
     assert empty.projected_wall_time_s == 0
 

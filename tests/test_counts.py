@@ -125,7 +125,7 @@ def test_per_row_operation_counts(tmp_path, counts, results_writes, n):  # noqa:
     assert counts.files() <= 1
 
     counts.reset()
-    run_screening(MANIFEST, {"D": records}, backend, CONFIG, out, run_log_path=run_log)
+    run_screening(MANIFEST, [("D", records)], backend, CONFIG, out, run_log_path=run_log)
     screen_calls = backend.call_count
     assert screen_calls == n + 2  # the re-ask of row 0 and the retry of row 1
     assert counts.calls["clean_text"] <= 4 * n

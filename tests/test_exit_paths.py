@@ -109,7 +109,7 @@ def test_null_content_fails_its_row_without_a_retry(http_server, monkeypatch, tm
     records = [ScreeningRecord(row_index=0, title="t0", abstract="a0")]
     config = RunConfig(requests_per_minute=10**6, max_retries=2, backoff_base_s=0.0)
     run_log = tmp_path / "run_log.jsonl"
-    report = run_screening(manifest, {"D": records}, HttpBackend(url), config, tmp_path, run_log_path=run_log)
+    report = run_screening(manifest, [("D", records)], HttpBackend(url), config, tmp_path, run_log_path=run_log)
     assert report.error_count == 1
     assert records[0].model_decision is Decision.ERROR
     assert len(handler.seen) == 1

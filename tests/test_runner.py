@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import ast
 import json
 import sys
 import threading
 import time
 from contextlib import closing
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +31,7 @@ from absieve.llm import (
     count_tokens_estimate,
 )
 from absieve.prompts import PromptKind, build_decision_prompt
+import absieve.runner
 from absieve.runner import (
     ConfigInvalid,
     RunConfig,
@@ -100,7 +103,7 @@ class TestRunScreening:
     def test_script_replay(self, tmp_path):
         backend = mock({"D/0": "included", "D/1": "excluded", "D/2": "excluded"})
         records = make_records(3)
-        report = run_screening(MANIFEST, {"D": records}, backend, fast_config(), tmp_path)
+        report = run_screening(MANIFEST, [("D", records)], backend, fast_config(), tmp_path)
         assert [r.model_decision for r in records] == [
             Decision.INCLUDED,
             Decision.EXCLUDED,
@@ -117,7 +120,7 @@ class TestRunScreening:
         backend = mock({"default": "excluded"})
         records = make_records(3)
         records[0].model_decision = Decision.INCLUDED
-        report = run_screening(MANIFEST, {"D": records}, backend, fast_config(), tmp_path)
+        report = run_screening(MANIFEST, [("D", records)], backend, fast_config(), tmp_path)
         assert backend.call_count == 2
         assert report.datasets["D"].rows_skipped_resume == 1
         assert records[0].model_decision is Decision.INCLUDED
@@ -127,7 +130,7 @@ class TestRunScreening:
         records = make_records(2)
         for r in records:
             r.model_decision = Decision.EXCLUDED
-        run_screening(MANIFEST, {"D": records}, backend, fast_config(), tmp_path)
+        run_screening(MANIFEST, [("D", records)], backend, fast_config(), tmp_path)
         assert backend.call_count == 0
 
     def test_persistent_fault_marks_row_error_and_run_completes(self, tmp_path):
@@ -136,7 +139,7 @@ class TestRunScreening:
         )
         records = make_records(3)
         report = run_screening(
-            MANIFEST, {"D": records}, backend, fast_config(max_retries=2), tmp_path
+            MANIFEST, [("D", records)], backend, fast_config(max_retries=2), tmp_path
         )
         assert records[1].model_decision is Decision.ERROR
         assert records[0].model_decision is Decision.INCLUDED
@@ -150,7 +153,7 @@ class TestRunScreening:
             {"D/0": "included", "failures": {"D/0": {"status": 429, "count": 2}}}
         )
         records = make_records(1)
-        run_screening(MANIFEST, {"D": records}, backend, fast_config(max_retries=2), tmp_path)
+        run_screening(MANIFEST, [("D", records)], backend, fast_config(max_retries=2), tmp_path)
         assert records[0].model_decision is Decision.INCLUDED
         assert backend.call_count == 3
 
@@ -159,7 +162,7 @@ class TestRunScreening:
             {"default": "included", "failures": {"D/0": {"status": 400, "count": 1}}}
         )
         records = make_records(2)
-        report = run_screening(MANIFEST, {"D": records}, backend, fast_config(), tmp_path)
+        report = run_screening(MANIFEST, [("D", records)], backend, fast_config(), tmp_path)
         assert records[0].model_decision is Decision.ERROR
         assert records[1].model_decision is Decision.INCLUDED
         assert report.error_count == 1
@@ -168,7 +171,7 @@ class TestRunScreening:
     def test_unparseable_response_reasked_once(self, tmp_path):
         backend = mock({"default": "no idea, sorry"})
         records = make_records(1)
-        report = run_screening(MANIFEST, {"D": records}, backend, fast_config(), tmp_path)
+        report = run_screening(MANIFEST, [("D", records)], backend, fast_config(), tmp_path)
         assert records[0].model_decision is Decision.UNPARSEABLE
         assert backend.call_count == 2
         assert report.datasets["D"].unparseable_count == 1
@@ -176,21 +179,21 @@ class TestRunScreening:
     def test_reask_can_recover_a_decision(self, tmp_path):
         backend = ScriptedBackend(["garbage", "included"])
         records = make_records(1)
-        run_screening(MANIFEST, {"D": records}, backend, fast_config(), tmp_path)
+        run_screening(MANIFEST, [("D", records)], backend, fast_config(), tmp_path)
         assert records[0].model_decision is Decision.INCLUDED
         assert backend.calls == 2
 
     def test_reask_failing_transiently_yields_unparseable(self, tmp_path):
         backend = ScriptedBackend(["garbage", TransientBackendError("boom")])
         records = make_records(1)
-        run_screening(MANIFEST, {"D": records}, backend, fast_config(), tmp_path)
+        run_screening(MANIFEST, [("D", records)], backend, fast_config(), tmp_path)
         assert records[0].model_decision is Decision.UNPARSEABLE
         assert backend.calls == 2
 
     def test_reask_failing_fatally_yields_error_and_keeps_tokens(self, tmp_path):
         backend = ScriptedBackend(["garbage", FatalBackendError("bad request")])
         records = make_records(1)
-        report = run_screening(MANIFEST, {"D": records}, backend, fast_config(), tmp_path)
+        report = run_screening(MANIFEST, [("D", records)], backend, fast_config(), tmp_path)
         assert records[0].model_decision is Decision.ERROR
         assert backend.calls == 2
         # The unreadable first reply was billed and stays in the ledger.
@@ -203,7 +206,7 @@ class TestRunScreening:
         )
         records = make_records(1)
         run_screening(
-            MANIFEST, {"D": records}, backend, fast_config(max_retries=2), tmp_path
+            MANIFEST, [("D", records)], backend, fast_config(max_retries=2), tmp_path
         )
         assert records[0].model_decision is Decision.UNPARSEABLE
         assert backend.calls == 4  # never more than 1 + max_retries + 1 re-ask
@@ -213,7 +216,7 @@ class TestRunScreening:
 
         with pytest.raises(UnknownDataset):
             run_screening(
-                MANIFEST, {"NOPE": make_records(1)}, mock({}), fast_config(), tmp_path
+                MANIFEST, [("NOPE", make_records(1))], mock({}), fast_config(), tmp_path
             )
 
     def test_output_order_independent_of_completion_order(self, tmp_path):
@@ -223,7 +226,7 @@ class TestRunScreening:
                 return CompletionResult("included", 1, 1, 0.0)
 
         records = make_records(4)
-        run_screening(MANIFEST, {"D": records}, SlowFirst(), fast_config(), tmp_path)
+        run_screening(MANIFEST, [("D", records)], SlowFirst(), fast_config(), tmp_path)
         rows = read_csv_rows(tmp_path / "D_results.csv")
         assert [r["title"] for r in rows] == [f"title {i}" for i in range(4)]
 
@@ -232,7 +235,7 @@ class TestRunScreening:
         for sub in ("a", "b"):
             records = make_records(8)
             run_screening(
-                MANIFEST, {"D": records}, mock(script), fast_config(), tmp_path / sub
+                MANIFEST, [("D", records)], mock(script), fast_config(), tmp_path / sub
             )
         assert (tmp_path / "a" / "D_results.csv").read_bytes() == (
             tmp_path / "b" / "D_results.csv"
@@ -242,7 +245,7 @@ class TestRunScreening:
         backend = mock({"default": "excluded"})
         report = run_screening(
             MANIFEST,
-            {"D": make_records(2), "D2": make_records(3)},
+            [("D", make_records(2)), ("D2", make_records(3))],
             backend,
             fast_config(),
             tmp_path,
@@ -255,7 +258,7 @@ class TestRunScreening:
     def test_empty_abstract_rows_screened_and_counted(self, tmp_path):
         records = [ScreeningRecord(0, "only title", ""), ScreeningRecord(1, "t", "a")]
         backend = mock({"default": "excluded"})
-        report = run_screening(MANIFEST, {"D": records}, backend, fast_config(), tmp_path)
+        report = run_screening(MANIFEST, [("D", records)], backend, fast_config(), tmp_path)
         assert report.datasets["D"].empty_abstract_count == 1
         assert records[0].model_decision is Decision.EXCLUDED
 
@@ -267,7 +270,7 @@ class TestRunScreening:
         }
         records = make_records(4)
         records[3].model_decision = Decision.EXCLUDED
-        report = run_screening(MANIFEST, {"D": records}, mock(script), fast_config(), tmp_path)
+        report = run_screening(MANIFEST, [("D", records)], mock(script), fast_config(), tmp_path)
         stats = report.datasets["D"]
         assert stats.rows_total == stats.rows_screened + stats.rows_skipped_resume
         assert (
@@ -282,7 +285,7 @@ class TestRunScreening:
         records = make_records(2)
         backend = mock({"default": "included"})
         config = fast_config(price_per_1k_input=1.0, price_per_1k_output=2.0)
-        report = run_screening(MANIFEST, {"D": records}, backend, config, tmp_path)
+        report = run_screening(MANIFEST, [("D", records)], backend, config, tmp_path)
         expected_in = sum(
             count_tokens_estimate(build_decision_prompt(r, CRITERIA).body) for r in records
         )
@@ -297,7 +300,7 @@ class TestRunScreening:
         log_path = tmp_path / "run.jsonl"
         script = {"D/0": "included", "failures": {"D/0": {"status": 429, "count": 1}}}
         run_screening(
-            MANIFEST, {"D": make_records(1)}, mock(script), fast_config(), tmp_path, log_path
+            MANIFEST, [("D", make_records(1))], mock(script), fast_config(), tmp_path, log_path
         )
         lines = [json.loads(line) for line in log_path.read_text().splitlines()]
         assert len(lines) == 2
@@ -338,7 +341,7 @@ class TestRunLog:
     def test_line_bytes(self, tmp_path):
         log_path = tmp_path / "run.jsonl"
         backend = ScriptedBackend(["included"])
-        run_screening(MANIFEST, {"D": make_records(1)}, backend, fast_config(), tmp_path, log_path)
+        run_screening(MANIFEST, [("D", make_records(1))], backend, fast_config(), tmp_path, log_path)
         assert log_path.read_bytes() == (
             b'{"attempt": 1, "dataset": "D", "input_tokens": 1, "latency_ms": 0.0, '
             b'"outcome": "ok", "output_tokens": 1, "row": 0}\n'
@@ -349,7 +352,7 @@ class TestRunLog:
         for _ in range(2):
             run_screening(
                 MANIFEST,
-                {"D": make_records(3)},
+                [("D", make_records(3))],
                 mock({"default": "excluded"}),
                 fast_config(),
                 tmp_path,
@@ -362,7 +365,7 @@ class TestRunLog:
         for r in records:
             r.model_decision = Decision.EXCLUDED
         log_path = tmp_path / "run.jsonl"
-        run_screening(MANIFEST, {"D": records}, mock({}), fast_config(), tmp_path, log_path)
+        run_screening(MANIFEST, [("D", records)], mock({}), fast_config(), tmp_path, log_path)
         assert not log_path.exists()
 
     def test_concurrent_records_stay_whole(self, tmp_path):
@@ -394,7 +397,7 @@ class TestRunLog:
         spy = OpenSpy()
         monkeypatch.setattr("absieve.runner.open", spy, raising=False)
         log_path = tmp_path / "run.jsonl"
-        datasets = {"D": make_records(4), "D2": make_records(3)}
+        datasets = [("D", make_records(4)), ("D2", make_records(3))]
         backend = mock({"default": "excluded"})
         run_screening(MANIFEST, datasets, backend, fast_config(), tmp_path, log_path)
         assert spy.opened(log_path) == 1
@@ -408,7 +411,7 @@ class TestRunLog:
         backend = AbortAfter(mock({"default": "excluded"}), allowed=2)
         with pytest.raises(KeyboardInterrupt):
             run_screening(
-                MANIFEST, {"D": make_records(5)}, backend, fast_config(max_in_flight=1), tmp_path, log_path
+                MANIFEST, [("D", make_records(5))], backend, fast_config(max_in_flight=1), tmp_path, log_path
             )
         assert spy.opened(log_path) == 1
         assert spy.all_closed()
@@ -421,7 +424,8 @@ class TestRunLog:
             r.human_decision = r.model_decision = Decision.INCLUDED
         log_path = tmp_path / "run.jsonl"
         run_explanations(
-            records, CRITERIA, mock({"default": "why"}), fast_config(), PromptKind.EXPLAIN, "D", log_path
+            records, CRITERIA, mock({"default": "why"}), fast_config(), PromptKind.EXPLAIN, "D", log_path,
+            results=(records, tmp_path / "D_results.csv"),
         )
         assert spy.opened(log_path) == 1
         assert spy.all_closed()
@@ -432,7 +436,7 @@ class TestRateAndConcurrency:
     def test_request_starts_are_spaced(self, tmp_path):
         backend = mock({"default": "excluded"})
         config = fast_config(requests_per_minute=600)  # 0.1s nominal spacing
-        run_screening(MANIFEST, {"D": make_records(5)}, backend, config, tmp_path)
+        run_screening(MANIFEST, [("D", make_records(5))], backend, config, tmp_path)
         starts = sorted(backend.start_times())
         gaps = [b - a for a, b in zip(starts, starts[1:])]
         assert min(gaps) >= 0.09
@@ -440,7 +444,7 @@ class TestRateAndConcurrency:
     def test_one_limiter_spans_dataset_boundaries(self, tmp_path):
         backend = mock({"default": "excluded"})
         config = fast_config(requests_per_minute=600)  # 0.1s nominal spacing
-        run_screening(MANIFEST, {"D": make_records(2), "D2": make_records(2)}, backend, config, tmp_path)
+        run_screening(MANIFEST, [("D", make_records(2)), ("D2", make_records(2))], backend, config, tmp_path)
         starts = sorted(backend.start_times())
         assert len(starts) == 4
         assert min(b - a for a, b in zip(starts, starts[1:])) >= 0.09
@@ -448,7 +452,7 @@ class TestRateAndConcurrency:
     def test_in_flight_never_exceeds_limit(self, tmp_path):
         backend = mock({"default": "excluded"}, delay_s=0.05)
         config = fast_config(max_in_flight=3)
-        run_screening(MANIFEST, {"D": make_records(12)}, backend, config, tmp_path)
+        run_screening(MANIFEST, [("D", make_records(12))], backend, config, tmp_path)
         assert backend.max_in_flight_observed <= 3
         assert backend.max_in_flight_observed >= 2  # the pool really overlaps calls
 
@@ -456,7 +460,7 @@ class TestRateAndConcurrency:
         script = {"default": "excluded", "failures": {"D/0": {"status": 429, "count": 2}}}
         backend = mock(script)
         config = fast_config(requests_per_minute=600, max_retries=3, backoff_base_s=0.0)
-        run_screening(MANIFEST, {"D": make_records(1)}, backend, config, tmp_path)
+        run_screening(MANIFEST, [("D", make_records(1))], backend, config, tmp_path)
         starts = sorted(backend.start_times())
         gaps = [b - a for a, b in zip(starts, starts[1:])]
         assert len(starts) == 3
@@ -495,17 +499,18 @@ class TestPulledAheadBound:
     def test_screening_pulls_at_most_two_windows_ahead(self, tmp_path, largest_gap):
         config = fast_config(max_in_flight=2)
         records = make_records(50)
-        run_screening(MANIFEST, {"D": records}, mock({"default": "excluded"}), config, tmp_path)
+        run_screening(MANIFEST, [("D", records)], mock({"default": "excluded"}), config, tmp_path)
         assert all(r.model_decision is Decision.EXCLUDED for r in records)
         assert largest_gap() <= 2 * config.max_in_flight
 
-    def test_explanations_pull_at_most_two_windows_ahead(self, largest_gap):
+    def test_explanations_pull_at_most_two_windows_ahead(self, tmp_path, largest_gap):
         config = fast_config(max_in_flight=2)
         records = make_records(50)
         for r in records:
             r.human_decision = r.model_decision = Decision.INCLUDED
         report = run_explanations(
-            records, CRITERIA, mock({"default": "why"}), config, PromptKind.EXPLAIN, "D"
+            records, CRITERIA, mock({"default": "why"}), config, PromptKind.EXPLAIN, "D",
+            results=(records, tmp_path / "D_results.csv"),
         )
         assert report.annotated_count == 50
         assert largest_gap() <= 2 * config.max_in_flight
@@ -533,7 +538,7 @@ class TestCheckpointing:
 
         straight = tmp_path / "straight"
         records = make_records(n)
-        run_screening(MANIFEST, {"D": records}, mock(script), fast_config(), straight)
+        run_screening(MANIFEST, [("D", records)], mock(script), fast_config(), straight)
         expected = (straight / "D_results.csv").read_bytes()
 
         crashed = tmp_path / "crashed"
@@ -541,14 +546,14 @@ class TestCheckpointing:
         backend = AbortAfter(mock(script), allowed=2)
         with pytest.raises(KeyboardInterrupt):
             run_screening(
-                MANIFEST, {"D": records}, backend, fast_config(max_in_flight=2), crashed
+                MANIFEST, [("D", records)], backend, fast_config(max_in_flight=2), crashed
             )
         checkpoint = read_csv_rows(crashed / "D_results.csv")
         assert len(checkpoint) == n  # full table, partially decided
         assert sum(1 for row in checkpoint if row["decision"]) <= 2
 
         resumed = load_dataset(crashed / "D_results.csv", "D", MANIFEST)
-        run_screening(MANIFEST, {"D": resumed}, mock(script), fast_config(), crashed)
+        run_screening(MANIFEST, [("D", resumed)], mock(script), fast_config(), crashed)
         assert (crashed / "D_results.csv").read_bytes() == expected
 
     def test_interrupt_keeps_every_finished_row(self, tmp_path):
@@ -557,7 +562,7 @@ class TestCheckpointing:
         with pytest.raises(KeyboardInterrupt):
             run_screening(
                 MANIFEST,
-                {"D": records},
+                [("D", records)],
                 backend,
                 fast_config(max_in_flight=1),
                 tmp_path,
@@ -570,7 +575,7 @@ class TestCheckpointing:
         with pytest.raises(KeyboardInterrupt):
             run_screening(
                 MANIFEST,
-                {"D": make_records(5)},
+                [("D", make_records(5))],
                 backend,
                 fast_config(max_in_flight=1),
                 tmp_path,
@@ -580,14 +585,14 @@ class TestCheckpointing:
         assert not (tmp_path / "D_results.journal.jsonl").exists()
 
     def test_interrupt_on_the_coordinator_stops_dispatch(self, tmp_path, monkeypatch):
-        def interrupted(record):
+        def interrupted(record, field):
             raise KeyboardInterrupt
 
         monkeypatch.setattr("absieve.runner.journal_entry", interrupted)
         backend = mock({"default": "excluded"}, delay_s=0.01)
         config = fast_config(max_in_flight=2)
         with pytest.raises(KeyboardInterrupt):
-            run_screening(MANIFEST, {"D": make_records(50)}, backend, config, tmp_path)
+            run_screening(MANIFEST, [("D", make_records(50))], backend, config, tmp_path)
         calls = backend.call_count
         time.sleep(0.1)
         assert backend.call_count == calls <= 2 * config.max_in_flight
@@ -611,18 +616,18 @@ class TestCheckpointing:
         journaled = []
         real_entry = absieve.runner.journal_entry
 
-        def slow_entry(record):
+        def slow_entry(record, field):
             # Hold the coordinator at the first row until the failure is queued behind the rest.
             if not journaled:
                 assert failed.wait(timeout=10)
                 time.sleep(0.1)
             journaled.append(record.row_index)
-            return real_entry(record)
+            return real_entry(record, field)
 
         monkeypatch.setattr(absieve.runner, "journal_entry", slow_entry)
         with pytest.raises(RuntimeError, match="worker crashed"):
             run_screening(
-                MANIFEST, {"D": make_records(4)}, FailsLast(), fast_config(max_in_flight=4), tmp_path
+                MANIFEST, [("D", make_records(4))], FailsLast(), fast_config(max_in_flight=4), tmp_path
             )
         assert sorted(journaled) == [0, 1, 2]
         decisions = [row["decision"] for row in read_csv_rows(tmp_path / "D_results.csv")]
@@ -644,7 +649,7 @@ class TestCheckpointing:
         records = make_records(4)
         records[3].model_decision = Decision.EXCLUDED
         assert fold_journal(records, journal) == 1  # as `screen --resume` reads the dataset
-        run_screening(MANIFEST, {"D": records}, Watcher(), fast_config(max_in_flight=1), tmp_path)
+        run_screening(MANIFEST, [("D", records)], Watcher(), fast_config(max_in_flight=1), tmp_path)
         assert seen[0] == ['{"row": 2, "decision": "error"}']  # the leftover journal is extended
         assert set(seen[-1]) <= {
             '{"row": 2, "decision": "error"}',
@@ -670,7 +675,7 @@ class TestCheckpointing:
         with pytest.raises(IoFailure) as held:
             run_screening(
                 MANIFEST,
-                {"D": make_records(20)},
+                [("D", make_records(20))],
                 mock(script),
                 fast_config(max_in_flight=2),
                 tmp_path,
@@ -702,7 +707,7 @@ class TestCheckpointing:
         monkeypatch.setattr(absieve.runner, "write_results", fails)
         with pytest.raises(IoFailure):
             run_screening(
-                MANIFEST, {"D": records}, mock({"default": "excluded"}), fast_config(max_in_flight=1), tmp_path
+                MANIFEST, [("D", records)], mock({"default": "excluded"}), fast_config(max_in_flight=1), tmp_path
             )
         assert csv_path.read_bytes() == before  # the journal extends the CSV that was read
         lines = journal.read_text().splitlines()
@@ -723,7 +728,7 @@ class TestCheckpointing:
                 return CompletionResult("excluded", 1, 1, 0.0)
 
         records = load_dataset(csv_path, "D", MANIFEST)
-        run_screening(MANIFEST, {"D": records}, Watcher(), fast_config(max_in_flight=1), tmp_path)
+        run_screening(MANIFEST, [("D", records)], Watcher(), fast_config(max_in_flight=1), tmp_path)
         assert seen == [before] * 3
         assert [row["decision"] for row in read_csv_rows(csv_path)] == ["excluded"] * 3
         assert not (tmp_path / "D_results.journal.jsonl").exists()
@@ -743,7 +748,8 @@ class TestRunExplanations:
         records = self._annotated_records()
         backend = mock({"D/1": "the call was wrong because ..."})
         report = run_explanations(
-            records, CRITERIA, backend, fast_config(), PromptKind.REFLECT, "D"
+            records, CRITERIA, backend, fast_config(), PromptKind.REFLECT, "D",
+            results=(records, tmp_path / "D_results.csv"),
         )
         assert records[1].reflection == "the call was wrong because ..."
         assert records[0].reflection is None
@@ -754,7 +760,8 @@ class TestRunExplanations:
         records = self._annotated_records()
         backend = mock({"D/0": "first rationale", "D/1": "second rationale"})
         report = run_explanations(
-            records, CRITERIA, backend, fast_config(), PromptKind.EXPLAIN, "D"
+            records, CRITERIA, backend, fast_config(), PromptKind.EXPLAIN, "D",
+            results=(records, tmp_path / "D_results.csv"),
         )
         assert records[0].explanation == "first rationale"
         assert records[1].explanation == "second rationale"
@@ -762,23 +769,25 @@ class TestRunExplanations:
         assert report.annotated_count == 2
         assert report.skipped_count == 1
 
-    def test_nothing_eligible_returns_without_calls(self):
+    def test_nothing_eligible_returns_without_calls(self, tmp_path):
         records = make_records(2)  # nobody has decisions
         backend = mock({"default": "text"})
         report = run_explanations(
-            records, CRITERIA, backend, fast_config(), PromptKind.REFLECT, "D"
+            records, CRITERIA, backend, fast_config(), PromptKind.REFLECT, "D",
+            results=(records, tmp_path / "D_results.csv"),
         )
         assert report.annotated_count == 0
         assert report.skipped_count == 2
         assert backend.call_count == 0
 
-    def test_backend_failure_counts_as_error(self):
+    def test_backend_failure_counts_as_error(self, tmp_path):
         records = self._annotated_records()
         backend = mock(
             {"default": "fine", "failures": {"D/0": {"status": 400, "count": 1}}}
         )
         report = run_explanations(
-            records, CRITERIA, backend, fast_config(), PromptKind.EXPLAIN, "D"
+            records, CRITERIA, backend, fast_config(), PromptKind.EXPLAIN, "D",
+            results=(records, tmp_path / "D_results.csv"),
         )
         assert report.error_count == 1
         assert report.annotated_count == 1
@@ -791,7 +800,8 @@ class TestRunExplanations:
         )
         log_path = tmp_path / "run.jsonl"
         report = run_explanations(
-            records[:1], CRITERIA, backend, fast_config(), PromptKind.EXPLAIN, "D", log_path
+            records[:1], CRITERIA, backend, fast_config(), PromptKind.EXPLAIN, "D", log_path,
+            results=(records, tmp_path / "D_results.csv"),
         )
         assert records[0].explanation == "a rationale"
         assert report.annotated_count == 1
@@ -799,36 +809,82 @@ class TestRunExplanations:
         outcomes = [json.loads(line)["outcome"] for line in log_path.read_text().splitlines()]
         assert outcomes == ["transient_error", "transient_error", "ok"]
 
-    def test_retries_exhausted_counts_as_error(self):
+    def test_retries_exhausted_counts_as_error(self, tmp_path):
         records = self._annotated_records()
         backend = ScriptedBackend([TransientBackendError("always")])
         report = run_explanations(
-            records[:1], CRITERIA, backend, fast_config(max_retries=2), PromptKind.EXPLAIN, "D"
+            records[:1], CRITERIA, backend, fast_config(max_retries=2), PromptKind.EXPLAIN, "D",
+            results=(records, tmp_path / "D_results.csv"),
         )
         assert report.error_count == 1
         assert report.annotated_count == 0
         assert records[0].explanation is None
         assert backend.calls == 3
 
-    def test_in_flight_never_exceeds_limit(self):
+    def test_in_flight_never_exceeds_limit(self, tmp_path):
         records = make_records(12)
         for r in records:
             r.human_decision = r.model_decision = Decision.INCLUDED
         backend = mock({"default": "why"}, delay_s=0.05)
         run_explanations(
-            records, CRITERIA, backend, fast_config(max_in_flight=3), PromptKind.EXPLAIN, "D"
+            records, CRITERIA, backend, fast_config(max_in_flight=3), PromptKind.EXPLAIN, "D",
+            results=(records, tmp_path / "D_results.csv"),
         )
         assert backend.max_in_flight_observed <= 3
         assert backend.call_count == 12
 
-    def test_invalid_mode_rejected(self):
+    def test_invalid_mode_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            run_explanations([], CRITERIA, mock({}), fast_config(), PromptKind.DECISION, "D")
+            run_explanations(
+                [], CRITERIA, mock({}), fast_config(), PromptKind.DECISION, "D",
+                results=([], tmp_path / "D_results.csv")
+            )
+
+
+class TestFailedAnnotationKeepsItsText:
+    """A row whose calls all fail keeps the text it held, gets no journal line and counts as an error."""
+
+    @pytest.mark.parametrize(
+        "failure", [{"status": 400, "count": 1}, {"status": 503, "count": 3}], ids=["fatal", "retries-exhausted"]
+    )
+    def test_explanation_and_reflection_are_kept(self, tmp_path, monkeypatch, failure):
+        records = make_records(2)
+        for r in records:  # each row disagrees with its human decision, so both modes ask it
+            r.human_decision, r.model_decision = Decision.INCLUDED, Decision.EXCLUDED
+        records[0].explanation = "an earlier explanation"
+        records[1].reflection = "an earlier reflection"
+        journaled = []
+        real_entry = absieve.runner.journal_entry
+
+        def spy_entry(record, *field):
+            journaled.append(record.row_index)
+            return real_entry(record, *field)
+
+        monkeypatch.setattr(absieve.runner, "journal_entry", spy_entry)
+        path = tmp_path / "D_results.csv"
+        for mode in (PromptKind.EXPLAIN, PromptKind.REFLECT):
+            backend = mock({"default": "new text", "failures": {"D/0": failure, "D/1": failure}})
+            report = run_explanations(
+                records, CRITERIA, backend, fast_config(max_retries=2), mode, "D", results=(records, path)
+            )
+            assert (report.annotated_count, report.error_count) == (0, 2)
+            assert backend.call_count == 2 * failure["count"]
+            assert journaled == []
+            assert [(r.explanation, r.reflection) for r in records] == [
+                ("an earlier explanation", None),
+                (None, "an earlier reflection"),
+            ]
+            rows = read_csv_rows(path)
+            assert [(row["explanation"], row["reflection"]) for row in rows] == [
+                ("an earlier explanation", ""),
+                ("", "an earlier reflection"),
+            ]
+            assert not (tmp_path / "D_results.journal.jsonl").exists()
 
 
 class TestEstimateCost:
     def test_empty_dataset_costs_nothing(self):
-        estimate = estimate_cost(MANIFEST, {"D": []}, fast_config())
+        estimate = estimate_cost(MANIFEST, [("D", [])], fast_config())
         assert estimate.cost == 0
         assert estimate.total_input_tokens == 0
         assert estimate.projected_wall_time_s == 0
@@ -838,7 +894,7 @@ class TestEstimateCost:
         config = fast_config(
             requests_per_minute=60, price_per_1k_input=0.0015, price_per_1k_output=0.002
         )
-        estimate = estimate_cost(MANIFEST, {"D": records}, config)
+        estimate = estimate_cost(MANIFEST, [("D", records)], config)
         expected_in = sum(
             count_tokens_estimate(build_decision_prompt(r, CRITERIA).body) for r in records
         )
@@ -849,7 +905,7 @@ class TestEstimateCost:
 
     def test_totals_are_sum_of_parts(self):
         estimate = estimate_cost(
-            MANIFEST, {"D": make_records(2), "D2": make_records(3)}, fast_config()
+            MANIFEST, [("D", make_records(2)), ("D2", make_records(3))], fast_config()
         )
         assert estimate.cost == pytest.approx(sum(d.cost for d in estimate.per_dataset))
         assert estimate.total_input_tokens == sum(
@@ -883,3 +939,46 @@ class TestRunConfig:
         with pytest.raises(ConfigInvalid) as exc:
             config.validate()
         assert field in str(exc.value)
+
+
+def _callers() -> dict[str, list[str]]:
+    """Each name called in ``runner.py``: the top-level function (or ``Class.method``) of every call site."""
+    tree = ast.parse(Path(absieve.runner.__file__).read_text(encoding="utf-8"))
+    scopes = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            scopes += [(f"{node.name}.{item.name}", item) for item in node.body if isinstance(item, ast.FunctionDef)]
+        elif isinstance(node, ast.FunctionDef):
+            scopes.append((node.name, node))
+    callers: dict[str, list[str]] = {}
+    for scope, node in scopes:
+        for call in ast.walk(node):
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name):
+                callers.setdefault(call.func.id, []).append(scope)
+    return callers
+
+
+class TestOneFillLoop:
+    """Structural checks on ``runner.py``: one loop asks the model for every command."""
+
+    def test_only_fill_calls_and_dispatches(self):
+        callers = _callers()
+        assert callers["_call"] == ["_fill"]
+        assert callers["_dispatch"] == ["_fill"]
+
+    def test_the_journal_is_opened_and_written_by_fill_alone(self):
+        callers = _callers()
+        assert callers["journal_path"] == ["_fill"]
+        assert set(callers["journal_entry"]) == {"_fill"}
+        assert set(callers["open"]) == {"_fill", "_RunLog.record"}
+
+    def test_no_function_tests_for_a_mapping(self):
+        tree = ast.parse(Path(absieve.runner.__file__).read_text(encoding="utf-8"))
+        mapping_checks = [
+            call.lineno
+            for call in ast.walk(tree)
+            if isinstance(call, ast.Call)
+            and getattr(call.func, "id", None) == "isinstance"
+            and any(getattr(node, "id", getattr(node, "attr", None)) == "Mapping" for node in ast.walk(call.args[1]))
+        ]
+        assert mapping_checks == []
