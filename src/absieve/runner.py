@@ -50,6 +50,7 @@ from .corpus import (
     Decision,
     ScreeningManifest,
     ScreeningRecord,
+    clean_text,
     journal_entry,
     journal_path,
     results_path,
@@ -244,14 +245,13 @@ def _call(
     record: ScreeningRecord,
     prompt: PromptText,
     max_output_tokens: int,
-    accept: Callable[[str], tuple[object, bool]] | None = None,
+    accept: Callable[[str], tuple[object, bool]],
 ) -> _Reply:
     """Build the request for ``prompt`` and get one reply: call, retry transient errors, re-ask once.
 
     Every attempt passes through the run's limiter and leaves one run-log line.
-    ``accept`` turns a reply's text into ``(value, ok)``; without it every
-    reply is accepted as its text. A reply that is not ok is asked again
-    once with the very same prompt, so the call budget is 1 + max_retries
+    ``accept`` turns a reply's text into ``(value, ok)``. A reply that is not
+    ok is asked again once with the very same prompt, so the call budget is 1 + max_retries
     (transient retries) + 1 (the re-ask).
 
     The returned value is the accepted one; or, when the re-ask also fails
@@ -280,7 +280,7 @@ def _call(
             result = CompletionResult("", 0, 0, (time.monotonic() - started) * 1000.0)
             outcome = "transient_error" if isinstance(exc, TransientBackendError) else "fatal_error"
         else:
-            value, ok = accept(result.text) if accept else (result.text, True)
+            value, ok = accept(result.text)
             outcome = "ok" if ok else "unparseable"
         input_tokens += result.input_tokens
         output_tokens += result.output_tokens
@@ -377,9 +377,14 @@ def _decided(text: str) -> tuple[Decision, bool]:
     return decision, decision in DECIDED
 
 
+def _written(text: str) -> tuple[str | None, bool]:
+    """Keep a reply as it came if :func:`clean_text` leaves something of it; else reject it for no value."""
+    return (text, True) if clean_text(text) else (None, False)
+
+
 def _fill(
     run: _Run, name: str, records: Sequence[ScreeningRecord], asked: Iterable[ScreeningRecord], field: str,
-    build: Callable[[ScreeningRecord], PromptText], accept: Callable[[str], tuple[object, bool]] | None,
+    build: Callable[[ScreeningRecord], PromptText], accept: Callable[[str], tuple[object, bool]],
     max_tokens: int, path: Path, failed: object = None,
 ) -> tuple[int, int, int]:
     """Ask about each ``asked`` row, set and journal ``field`` on it; then write ``records`` to the CSV at ``path``.
@@ -526,8 +531,10 @@ def run_explanations(
     EXPLAIN needs a parsed model decision and a recorded human decision;
     REFLECT additionally needs the two to disagree. Rows that do not qualify
     are skipped and counted, never an error. Calls go through the same rate
-    limit, retries and backoff as screening; any reply is accepted, so there
-    is no re-ask.
+    limit, retries and backoff as screening. A reply is kept as it came, but
+    one that :func:`clean_text` leaves empty (blank, or non-ASCII only) is
+    asked again once, as screening asks an unparseable reply again; if that
+    reply is empty too, the row is an error and keeps the text it held.
 
     ``results`` is ``(table, path)``: the dataset the records belong to, with
     any journal at the results CSV ``path`` folded in. Each annotation is
@@ -541,7 +548,7 @@ def run_explanations(
         input_tokens, output_tokens, failures = _fill(
             run, dataset_name, table, eligible, column,
             lambda record: build(record, criteria, record.human_decision, record.model_decision),
-            None, NARRATIVE_MAX_TOKENS, path,
+            _written, NARRATIVE_MAX_TOKENS, path,
         )
     return ExplainReport(
         mode, len(eligible) - failures, len(records) - len(eligible), failures, input_tokens, output_tokens

@@ -21,8 +21,11 @@ mock backend, so a row's injected failures start over in every command.
 * A ``screen`` reply that names neither label gets an ``unparseable`` line
   and is asked once more with the same prompt. The mock answers the same,
   so the row gets a second ``unparseable`` line and stays ``unparseable``.
-* ``explain`` and ``reflect`` accept any reply and never re-ask. A row
-  whose calls all fail keeps no text.
+* An ``explain`` or ``reflect`` reply is kept as it came, unless
+  ``clean_text`` leaves it empty: then it gets an ``unparseable`` line and
+  is asked once more, the mock answers the same, and the row gets a second
+  ``unparseable`` line and ends without a value. A row that ends without a
+  value keeps the text it held.
 * An answered attempt counts ``ceil(len / 4)`` tokens of the prompt and of
   the reply; a failed attempt counts none.
 * A command exits 1 when a row it asked ends without a value (``screen``
@@ -99,9 +102,10 @@ class Reference:
             return None, lines
         text = self.script.responses.get((name, row), self.script.default)
         value = parse_decision(text) if screening else text
-        outcome = "unparseable" if screening and value not in DECIDED else "ok"
-        asks = 2 if outcome == "unparseable" else 1
+        ok = value in DECIDED if screening else clean_text(text) != ""
+        outcome, asks = ("ok", 1) if ok else ("unparseable", 2)
         tokens = (math.ceil(len(prompt) / 4), math.ceil(len(text) / 4))
+        value = value if ok or screening else None  # an empty annotation is no value; `unparseable` is a decision
         return value, lines + [(name, row, failures + n, outcome, *tokens) for n in range(1, asks + 1)]
 
     def screen(self, resume: bool = False, dataset: str | None = None) -> Command:

@@ -18,6 +18,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import absieve
+import absieve.runner
 from absieve import cli
 from absieve.cli import main
 from absieve.corpus import (
@@ -790,6 +791,34 @@ class TestExplainReflect:
         assert result.exit_code == 0
         rows = read_csv_rows(tmp_path / "out" / "IVM_results.csv")
         assert all(r["explanation"] != "" for r in rows)
+
+    @pytest.mark.parametrize("reply", ["", " \t", "é—“"], ids=["empty", "blank", "non-ascii"])
+    @pytest.mark.parametrize("command, column", [("explain", "explanation"), ("reflect", "reflection")])
+    def test_a_reply_that_cleans_to_nothing_is_asked_again_then_an_error(
+        self, tmp_path, monkeypatch, reply, command, column
+    ):
+        config = make_workspace(tmp_path)
+        script, out = tmp_path / "mock_script.json", tmp_path / "out"
+        assert invoke(config, "screen").exit_code == 0
+        write_mock_script(script, {}, "an earlier text")
+        assert invoke(config, command, "--dataset", "IVM", "--rows", "1").exit_code == 0
+        journaled = []
+        entry = absieve.runner.journal_entry
+        monkeypatch.setattr(absieve.runner, "journal_entry", lambda *args: journaled.append(args) or entry(*args))
+        log_lines = len((out / "run_log.jsonl").read_text().splitlines())
+        write_mock_script(script, {}, reply)
+        # Rows 1 and 2 disagree with their human decisions, so both commands ask both.
+        result = invoke(config, command, "--dataset", "IVM", "--rows", "1,2")
+        assert result.exit_code == 1, result.output
+        assert f"IVM: 0 annotated, 0 skipped, 2 errors ({command})" in result.output
+        assert journaled == []
+        lines = [json.loads(line) for line in (out / "run_log.jsonl").read_text().splitlines()[log_lines:]]
+        assert sorted((line["row"], line["attempt"], line["outcome"]) for line in lines) == [
+            (1, 1, "unparseable"), (1, 2, "unparseable"), (2, 1, "unparseable"), (2, 2, "unparseable")
+        ]
+        rows = read_csv_rows(out / "IVM_results.csv")
+        assert [r[column] for r in rows] == ["", "an earlier text", "", ""]
+        assert not (out / "IVM_results.journal.jsonl").exists()
 
     def test_same_seed_selects_same_rows(self, tmp_path):
         def annotated(seed: int, marker: str) -> list[int]:
