@@ -462,22 +462,22 @@ def run_screening(
     report = RunReport()
     run_started = time.monotonic()
     with _running(backend, config, run_log_path) as run:
-        out_dir = Path(output_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        Path(output_dir).mkdir(parents=True, exist_ok=True)
         for name, records in datasets:
             criteria = manifest.criteria_for(name)
             pending = [r for r in records if r.model_decision is None]
             input_tokens, output_tokens, _ = _fill(
                 run, name, records, pending, "decision", lambda record: build_decision_prompt(record, criteria),
-                _decided, DECISION_MAX_TOKENS, results_path(out_dir, name), Decision.ERROR,
+                _decided, DECISION_MAX_TOKENS, results_path(output_dir, name), Decision.ERROR,
             )
             report.input_tokens += input_tokens
             report.output_tokens += output_tokens
             decisions = [r.model_decision for r in pending]
             report.datasets[name] = DatasetStats(
-                rows_total=len(records), rows_screened=len(pending), rows_skipped_resume=len(records) - len(pending),
-                included_count=decisions.count(Decision.INCLUDED), excluded_count=decisions.count(Decision.EXCLUDED),
-                unparseable_count=decisions.count(Decision.UNPARSEABLE), error_count=decisions.count(Decision.ERROR),
+                rows_total=len(records),
+                rows_screened=len(pending),
+                rows_skipped_resume=len(records) - len(pending),
+                **{f"{d.value}_count": decisions.count(d) for d in Decision},
                 empty_abstract_count=sum(1 for r in records if not r.abstract),
             )
             del records, pending  # a `for` keeps them bound while it pulls the next pair
