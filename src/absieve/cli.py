@@ -325,89 +325,68 @@ def screen(dataset: str | None, resume: bool, **kwargs) -> None:
         sys.exit(1)
 
 
-def _run_explain(
-    dataset: str,
-    mode: PromptKind,
-    sample: int | None,
-    rows: str | None,
-    seed: int,
-    kwargs: dict,
-) -> None:
-    if rows is not None and sample is not None:
-        raise CliFailure("--rows and --sample are mutually exclusive")
-    config = load_app_config(kwargs)
-    manifest = _load_manifest(config)
-    _dataset_names(manifest, dataset)
-    run_log = config.output_dir / RUN_LOG_NAME
-    check_outputs({run_log: "the run log", **_results(config, [dataset])}, config.data_dir, manifest)
-    if sample is not None and sample < 0:
-        raise CliFailure(f"--sample must be >= 0, got {sample}")
-    results = results_path(config.output_dir, dataset)
-    # A first screen killed before its dataset ended leaves a journal and no CSV.
-    if not (results.exists() or journal_path(results).exists()):
-        raise CliFailure(f"results file not found (run `screen` first): {results}")
-    # With the journal of a killed run folded in, as `screen --resume` reads it.
-    records = _load_records(config, manifest, dataset, resume=True)
+def _annotate_command(mode: PromptKind, help_text: str) -> click.Command:
+    """Register the command ``mode.value``, which fills ``mode``'s column on rows of one results file."""
 
-    eligible = [r for r in records if eligible_for(mode, r)]
-    if rows is not None:
-        try:
-            wanted = {int(part) for part in rows.split(",") if part.strip()}
-        except ValueError:
-            raise CliFailure(f"--rows must be a comma-separated list of integers: {rows!r}")
-        unknown = wanted - {r.row_index for r in records}
-        if unknown:
-            raise CliFailure(f"--rows names rows not in the dataset: {sorted(unknown)}")
-        chosen = [r for r in records if r.row_index in wanted]
-        if not any(eligible_for(mode, r) for r in chosen):
-            raise CliFailure(f"no eligible rows for mode {mode.value!r} in --rows selection")
-    else:
-        if not eligible:
+    @main.command(mode.value, help=help_text)
+    @config_options
+    @click.option("--dataset", required=True, help="Dataset whose results file to annotate.")
+    @click.option("--sample", type=int, default=None, help="Annotate K eligible rows, sampled with --seed.")
+    @click.option("--rows", default=None, help="Comma-separated row indexes to annotate.")
+    @click.option("--seed", type=int, default=0, show_default=True, help="Sampling seed.")
+    def annotate(dataset: str, sample: int | None, rows: str | None, seed: int, **kwargs) -> None:
+        if rows is not None and sample is not None:
+            raise CliFailure("--rows and --sample are mutually exclusive")
+        config = load_app_config(kwargs)
+        manifest = _load_manifest(config)
+        _dataset_names(manifest, dataset)
+        run_log = config.output_dir / RUN_LOG_NAME
+        check_outputs({run_log: "the run log", **_results(config, [dataset])}, config.data_dir, manifest)
+        if sample is not None and sample < 0:
+            raise CliFailure(f"--sample must be >= 0, got {sample}")
+        results = results_path(config.output_dir, dataset)
+        # A first screen killed before its dataset ended leaves a journal and no CSV.
+        if not (results.exists() or journal_path(results).exists()):
+            raise CliFailure(f"results file not found (run `screen` first): {results}")
+        # With the journal of a killed run folded in, as `screen --resume` reads it.
+        records = _load_records(config, manifest, dataset, resume=True)
+
+        eligible = [r for r in records if eligible_for(mode, r)]
+        if rows is not None:
+            try:
+                wanted = {int(part) for part in rows.split(",") if part.strip()}
+            except ValueError:
+                raise CliFailure(f"--rows must be a comma-separated list of integers: {rows!r}")
+            unknown = wanted - {r.row_index for r in records}
+            if unknown:
+                raise CliFailure(f"--rows names rows not in the dataset: {sorted(unknown)}")
+            if wanted.isdisjoint(r.row_index for r in eligible):
+                raise CliFailure(f"no eligible rows for mode {mode.value!r} in --rows selection")
+            # Ineligible rows named here are passed on, and counted as skipped.
+            chosen = [r for r in records if r.row_index in wanted]
+        elif not eligible:
             raise CliFailure(f"no eligible rows for mode {mode.value!r} in {dataset}")
-        if sample is None or sample >= len(eligible):
+        elif sample is None or sample >= len(eligible):
             chosen = eligible
         else:
-            chosen = random.Random(seed).sample(eligible, sample)
-            chosen.sort(key=lambda r: r.row_index)
+            chosen = sorted(random.Random(seed).sample(eligible, sample), key=lambda r: r.row_index)
 
-    report = run_explanations(
-        chosen,
-        manifest.criteria_for(dataset),
-        _make_backend(config),
-        config.run,
-        mode,
-        dataset,
-        run_log_path=run_log,
-        results=(records, results),
-    )
-    click.echo(
-        f"{dataset}: {report.annotated_count} annotated, {report.skipped_count} skipped, "
-        f"{report.error_count} errors ({mode.value})"
-    )
-    if report.error_count:
-        sys.exit(1)
+        report = run_explanations(
+            chosen, manifest.criteria_for(dataset), _make_backend(config), config.run, mode, dataset,
+            run_log_path=run_log, results=(records, results),
+        )
+        click.echo(
+            f"{dataset}: {report.annotated_count} annotated, {report.skipped_count} skipped, "
+            f"{report.error_count} errors ({mode.value})"
+        )
+        if report.error_count:
+            sys.exit(1)
+
+    return annotate
 
 
-@main.command()
-@config_options
-@click.option("--dataset", required=True, help="Dataset whose results file to annotate.")
-@click.option("--sample", type=int, default=None, help="Annotate K eligible rows, sampled with --seed.")
-@click.option("--rows", default=None, help="Comma-separated row indexes to annotate.")
-@click.option("--seed", type=int, default=0, show_default=True, help="Sampling seed.")
-def explain(dataset: str, sample: int | None, rows: str | None, seed: int, **kwargs) -> None:
-    """Ask the model to explain decisions in a results file."""
-    _run_explain(dataset, PromptKind.EXPLAIN, sample, rows, seed, kwargs)
-
-
-@main.command()
-@config_options
-@click.option("--dataset", required=True, help="Dataset whose results file to annotate.")
-@click.option("--sample", type=int, default=None, help="Annotate K eligible rows, sampled with --seed.")
-@click.option("--rows", default=None, help="Comma-separated row indexes to annotate.")
-@click.option("--seed", type=int, default=0, show_default=True, help="Sampling seed.")
-def reflect(dataset: str, sample: int | None, rows: str | None, seed: int, **kwargs) -> None:
-    """Ask the model why its disagreeing decisions were incorrect."""
-    _run_explain(dataset, PromptKind.REFLECT, sample, rows, seed, kwargs)
+explain = _annotate_command(PromptKind.EXPLAIN, "Ask the model to explain decisions in a results file.")
+reflect = _annotate_command(PromptKind.REFLECT, "Ask the model why its disagreeing decisions were incorrect.")
 
 
 def _format(value: float | None, places: int) -> str:

@@ -40,7 +40,7 @@ import random
 import threading
 import time
 from contextlib import closing, contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Protocol, Sequence
 
@@ -118,25 +118,23 @@ class RunConfig:
         )
 
 
-@dataclass
-class DatasetStats:
-    rows_total: int = 0
-    rows_screened: int = 0
-    rows_skipped_resume: int = 0
-    included_count: int = 0
-    excluded_count: int = 0
-    unparseable_count: int = 0
-    error_count: int = 0
-    empty_abstract_count: int = 0
+class DatasetStats(NamedTuple):
+    rows_total: int
+    rows_screened: int
+    rows_skipped_resume: int
+    included_count: int
+    excluded_count: int
+    unparseable_count: int
+    error_count: int
+    empty_abstract_count: int
 
 
-@dataclass
-class RunReport:
-    datasets: dict[str, DatasetStats] = field(default_factory=dict)
-    wall_time_s: float = 0.0
-    input_tokens: int = 0
-    output_tokens: int = 0
-    estimated_cost: float = 0.0
+class RunReport(NamedTuple):
+    datasets: dict[str, DatasetStats]
+    wall_time_s: float
+    input_tokens: int
+    output_tokens: int
+    estimated_cost: float
 
     @property
     def error_count(self) -> int:
@@ -144,7 +142,7 @@ class RunReport:
 
     def to_dict(self) -> dict:
         return {
-            "datasets": {name: asdict(s) for name, s in self.datasets.items()},
+            "datasets": {name: s._asdict() for name, s in self.datasets.items()},
             "totals": {
                 "wall_time_s": self.wall_time_s,
                 "input_tokens": self.input_tokens,
@@ -459,21 +457,22 @@ def run_screening(
     screen afresh, remove the CSV and its journal first, as ``absieve
     screen`` without ``--resume`` does.
     """
-    report = RunReport()
+    stats: dict[str, DatasetStats] = {}
+    input_tokens = output_tokens = 0
     run_started = time.monotonic()
     with _running(backend, config, run_log_path) as run:
         Path(output_dir).mkdir(parents=True, exist_ok=True)
         for name, records in datasets:
             criteria = manifest.criteria_for(name)
             pending = [r for r in records if r.model_decision is None]
-            input_tokens, output_tokens, _ = _fill(
+            dataset_input, dataset_output, _ = _fill(
                 run, name, records, pending, "decision", lambda record: build_decision_prompt(record, criteria),
                 _decided, DECISION_MAX_TOKENS, results_path(output_dir, name), Decision.ERROR,
             )
-            report.input_tokens += input_tokens
-            report.output_tokens += output_tokens
+            input_tokens += dataset_input
+            output_tokens += dataset_output
             decisions = [r.model_decision for r in pending]
-            report.datasets[name] = DatasetStats(
+            stats[name] = DatasetStats(
                 rows_total=len(records),
                 rows_screened=len(pending),
                 rows_skipped_resume=len(records) - len(pending),
@@ -482,19 +481,17 @@ def run_screening(
             )
             del records, pending  # a `for` keeps them bound while it pulls the next pair
 
-    report.wall_time_s = time.monotonic() - run_started
-    report.estimated_cost = config.cost(report.input_tokens, report.output_tokens)
-    return report
+    wall_time_s = time.monotonic() - run_started
+    return RunReport(stats, wall_time_s, input_tokens, output_tokens, config.cost(input_tokens, output_tokens))
 
 
-@dataclass
-class ExplainReport:
+class ExplainReport(NamedTuple):
     mode: PromptKind
-    annotated_count: int = 0
-    skipped_count: int = 0
-    error_count: int = 0
-    input_tokens: int = 0
-    output_tokens: int = 0
+    annotated_count: int
+    skipped_count: int
+    error_count: int
+    input_tokens: int
+    output_tokens: int
 
 
 def _narrative(mode: PromptKind) -> tuple[str, Callable[..., PromptText]]:

@@ -750,6 +750,10 @@ class TestKilledFirstScreen:
 
 
 class TestExplainReflect:
+    def test_explain_and_reflect_share_one_command_body(self):
+        # One definition under two names; each is registered with its own mode.
+        assert main.commands["explain"].callback.__code__ is main.commands["reflect"].callback.__code__
+
     @pytest.mark.parametrize("command", ["explain", "reflect"])
     def test_negative_sample_exits_two(self, tmp_path, command):
         config = make_workspace(tmp_path)

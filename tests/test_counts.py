@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import threading
 from collections import Counter
 
@@ -75,7 +76,11 @@ def counts(monkeypatch, corpus_files) -> Counts:
                 counts.calls[name] += 1
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(module, name, counted)
+        # And into every absieve module that imported it by name, so no call escapes
+        # through another binding (``runner`` cleans each explanation through its own).
+        for holder in [module, *(m for n, m in sys.modules.items() if n.startswith("absieve."))]:
+            if getattr(holder, name, None) is real:
+                monkeypatch.setattr(holder, name, counted)
 
     count(absieve.corpus, "clean_text")
     for name in ("build_decision_prompt", "build_explain_prompt", "journal_entry"):
@@ -152,7 +157,8 @@ def test_per_row_operation_counts(tmp_path, counts, results_writes, n):  # noqa:
     )
     explain_calls = backend.call_count - screen_calls
     assert report.annotated_count == explain_calls == n - 1  # every row but the unparseable one
-    assert counts.calls["clean_text"] <= 4 * n
+    # Four text cells per row written, and each reply once, when it is accepted.
+    assert counts.calls["clean_text"] <= 4 * n + explain_calls
     assert results_writes == [results_path(out, "D")]
     assert counts.calls["replace"] == 1
     assert counts.calls["journal_entry"] <= n

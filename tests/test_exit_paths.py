@@ -62,6 +62,26 @@ class TestRowsFlag:
         assert "no eligible rows for mode 'reflect' in --rows selection" in result.output
 
 
+    @pytest.mark.parametrize(
+        "command, column, rows, annotated, skipped",
+        [("explain", "explanation", "0,2,3", [0, 2], 1), ("reflect", "reflection", "0,1,2,3", [1, 2], 2)],
+    )
+    def test_ineligible_rows_in_the_selection_are_skipped(self, tmp_path, command, column, rows, annotated, skipped):
+        config = screened_workspace(tmp_path)
+        results = tmp_path / "out" / "IVM_results.csv"
+        # Row 3 as a screen leaves a reply it could not parse: neither command may ask about it.
+        screened = results.read_bytes()
+        results.write_bytes(screened.replace(b"t3,a3,excluded,excluded,", b"t3,a3,excluded,unparseable,"))
+        before = read_csv_rows(results)
+        script = write_mock_script(tmp_path / "annotate.json", {}, f"{command} text")
+        result = invoke(config, command, "--dataset", "IVM", "--rows", rows, "--mock-script", str(script))
+        assert result.exit_code == 0, result.output
+        assert f"IVM: {len(annotated)} annotated, {skipped} skipped, 0 errors ({command})" in result.output
+        after = read_csv_rows(results)
+        assert [i for i, row in enumerate(after) if row[column]] == annotated
+        assert after == [{**row, column: f"{command} text"} if i in annotated else row for i, row in enumerate(before)]
+
+
 class TestConfigAndInputs:
     def test_config_without_output_dir_exits_two(self, tmp_path):
         config = make_workspace(tmp_path)

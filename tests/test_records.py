@@ -1,4 +1,4 @@
-"""Record types: immutable ones are NamedTuples, and only the five mutable ones are dataclasses."""
+"""Record types: immutable ones are NamedTuples, and only the two mutable ones are dataclasses."""
 
 from __future__ import annotations
 
@@ -20,9 +20,6 @@ from absieve.prompts import PromptKind, PromptText
 MUTABLE_TYPES = {
     "absieve.corpus.ScreeningRecord",
     "absieve.runner.RunConfig",
-    "absieve.runner.DatasetStats",
-    "absieve.runner.RunReport",
-    "absieve.runner.ExplainReport",
 }
 IMMUTABLE_TYPES = [
     "absieve.corpus.CriteriaSet",
@@ -40,6 +37,9 @@ IMMUTABLE_TYPES = [
     "absieve.metrics.DatasetMetrics",
     "absieve.metrics.WeightedSummary",
     "absieve.runner._Reply",
+    "absieve.runner.DatasetStats",
+    "absieve.runner.RunReport",
+    "absieve.runner.ExplainReport",
     "absieve.runner.DatasetCostEstimate",
     "absieve.runner.CostEstimate",
     "absieve.cli.AppConfig",
